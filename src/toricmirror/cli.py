@@ -146,7 +146,7 @@ def _cmd_mirror_map(args):
 def _seidel_points(ctx):
     pidxs = list(ctx.ray_pidx)
     for gv in ctx.gvars:
-        if gv.kind == "y" and gv.pidx not in pidxs:
+        if gv.pidx not in pidxs:
             pidxs.append(gv.pidx)
     return sorted(pidxs)
 
@@ -220,7 +220,7 @@ def _cmd_noneq(args):
 
 def _cmd_check(args):
     if args.controls:
-        entries = negative_controls(_resolve_fan(args.fan))
+        entries = negative_controls(_context(args))
     else:
         ctx = _context(args)
         section = _parse_section(args.section) if args.section else None

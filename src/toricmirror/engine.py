@@ -86,32 +86,12 @@ def phi_component(s: HSeries, pidx: int) -> HSeries:
     return HSeries(s.ctx, out, s.lossy)
 
 
-def ray_exponents(ctx: Context, eidx: int, g: tuple, offset_pidx=None) -> tuple:
-    """Per-ray exponents of the term at (Q^d, y^g), shifted once by a point.
-
-    The exponent on the ray b_i is d_i minus the psi_i-weighted variable
-    degrees; the optional offset subtracts psi_i of one more point (the shape
-    of a first-order extension column).
-    """
-    ell = list(ctx.eff[eidx])
-    for v, e in g:
-        psi = ctx.points[ctx.gvars[v].pidx].psi
-        for i, p in enumerate(psi):
-            if p:
-                ell[i] -= p * e
-    if offset_pidx is not None:
-        for i, p in enumerate(ctx.points[offset_pidx].psi):
-            if p:
-                ell[i] -= p
-    return tuple(ell)
-
-
 def _g_monomials(ctx: Context) -> list[tuple]:
     """All monomials in the ordinary deformation variables with degree <= gcap."""
     cache = _cache(ctx)
     if "gmono" in cache:
         return cache["gmono"]
-    vs = [vi for vi, v in enumerate(ctx.gvars) if v.kind == "y"]
+    vs = range(len(ctx.gvars))
     out = []
 
     def rec(pos, budget, acc):
@@ -230,7 +210,7 @@ def _series_sum(ctx: Context, offset_pidx=None) -> HSeries:
         total = HSeries.zero(ctx)
         for eidx in range(len(ctx.eff)):
             for g in _g_monomials(ctx):
-                ell = ray_exponents(ctx, eidx, g, offset_pidx)
+                ell = ctx.ray_exponents(ctx.eff[eidx], g, offset_pidx)
                 fac = _term_factor(ctx, ell)
                 if fac.is_zero():
                     continue
@@ -339,62 +319,47 @@ def birkhoff_factorize(ctx: Context, dI: OperatorSeries, check: bool = True):
 # ------------------------------------------------- Seidel classes and frames
 
 
-def _solve_unit_coordinates(ctx: Context, V: dict) -> dict:
-    """Scalar series c0 with sum_l c0_l V_l = 1.
+def _frame_coordinates(frame: dict, target: HSeries) -> tuple[dict, HSeries]:
+    """Coordinates x with sum_p x_p frame[p] = target, and the residual left.
 
-    V_l is phi_l plus higher-order terms, so the system is triangular in the
-    combined order and the coefficients can be read off directly.
+    Each frame[p] is phi_p plus terms of lower basis degree or higher combined
+    order, so the system is triangular: at each order the residual is cleared
+    one basis-degree level at a time, highest first.  A nonzero residual
+    means the target is not in the span of the frame at these caps.  Lower
+    degree terms of frame[p] at order zero are absorbed, not rejected; a
+    frame that must be exactly phi_p there is checked by its caller.
     """
-    target = HSeries.unit(ctx)
-    c0 = {ctx.unit_pidx: HSeries.unit(ctx)}
-    nmax = ctx.policy.qcap + ctx.policy.gcap
-    for r in range(1, nmax + 1):
-        resid = target
-        for l, cl in c0.items():
-            resid = resid - cl * V[l]
-        resid_r = resid.order_part(r)
-        if resid_r.is_zero():
-            continue
-        seen = {p for inner in resid_r.terms.values() for (p, _) in inner}
-        for p in seen:
-            delta = phi_component(resid_r, p)
-            c0[p] = c0.get(p, HSeries.zero(ctx)) + delta
+    ctx = target.ctx
+    coords: dict = {}
     resid = target
-    for l, cl in c0.items():
-        resid = resid - cl * V[l]
-    if not resid.is_zero():
-        raise NormalizationFailure("unit class has no coordinates in this frame")
-    return {l: cl for l, cl in c0.items() if not cl.is_zero()}
+    for r in range(ctx.policy.qcap + ctx.policy.gcap + 1):
+        rem = resid.order_part(r)
+        top = None
+        while not rem.is_zero():
+            seen = {p for inner in rem.terms.values() for (p, _) in inner}
+            level = max(ctx.norms[p] for p in seen)
+            if top is not None and level >= top:
+                break  # the top level did not fall: not triangular here
+            top = level
+            for p in sorted(seen):
+                if ctx.norms[p] == level:
+                    delta = phi_component(rem, p)
+                    coords[p] = coords[p] + delta if p in coords else delta
+                    resid = resid - delta * frame[p]
+            rem = resid.order_part(r)
+    return {p: c for p, c in coords.items() if not c.is_zero()}, resid
 
 
 def _seidel_family(ctx: Context, V: dict, c0: dict) -> dict:
     """S_k = sum_l c0_l Q^{d(k,l)} V_{k+l} for every basis point k."""
-    pts = ctx.points
+    one = HSeries.unit(ctx)
     S = {}
-    for k in range(len(pts)):
+    for k in range(len(ctx.points)):
         acc = HSeries.zero(ctx)
-        for l, cl in c0.items():
-            de = ctx.pairing_eidx(k, l)
-            if de is None:
-                continue  # pairing class beyond the Novikov window
-            tp = ctx.pindex.get(
-                tuple(a + b for a, b in zip(pts[k].point, pts[l].point))
-            )
-            if tp is None:
-                continue  # point sum beyond kwork: provably above the window
-            acc = acc + _key_shift(cl * V[tp], de, (), 0)
+        for t, ct in w_multiply(ctx, {k: one}, c0).items():
+            acc = acc + ct * V[t]
         S[k] = acc
     return S
-
-
-def _y_degree_part(s: HSeries, cap: int) -> HSeries:
-    """Terms of total deformation-variable degree at most cap."""
-    out = {
-        key: dict(inner)
-        for key, inner in s.terms.items()
-        if g_deg(key[1]) <= cap
-    }
-    return HSeries(s.ctx, out, s.lossy)
 
 
 def _check_flow_identities(ctx: Context, tau: HSeries, S: dict):
@@ -406,10 +371,8 @@ def _check_flow_identities(ctx: Context, tau: HSeries, S: dict):
     """
     short = max(ctx.policy.gcap - 1, 0)
     for vi, gv in enumerate(ctx.gvars):
-        if gv.kind != "y":
-            continue
         want = tau.derive_var(vi)
-        if _y_degree_part(S[gv.pidx], short) != _y_degree_part(want, short):
+        if S[gv.pidx].y_degree_part(short) != want.y_degree_part(short):
             pt = ctx.points[gv.pidx].point
             raise IdentityViolation(
                 f"Seidel class at {pt} differs from the mirror-map flow"
@@ -449,7 +412,9 @@ def compute_mirror_data(ctx: Context, check: bool = True) -> MirrorData:
     tau = M.col(ctx.unit_pidx).z_coefficient(-1)
     upsilon = P.col(ctx.unit_pidx)
     V = {k: P.col(k).z_coefficient(0) for k in P.cols}
-    c0 = _solve_unit_coordinates(ctx, V)
+    c0, resid = _frame_coordinates(V, HSeries.unit(ctx))
+    if not resid.is_zero():
+        raise NormalizationFailure("unit class has no coordinates in this frame")
     S = _seidel_family(ctx, V, c0)
     if check:
         if not tau.is_homogeneous(1):
@@ -460,11 +425,7 @@ def compute_mirror_data(ctx: Context, check: bool = True) -> MirrorData:
             if not col.is_homogeneous(ctx.norms[k]):
                 raise IdentityViolation("P column has mixed weight")
         _check_flow_identities(ctx, tau, S)
-    targets = {
-        vi: phi_component(tau, gv.pidx)
-        for vi, gv in enumerate(ctx.gvars)
-        if gv.kind == "y"
-    }
+    targets = {vi: phi_component(tau, gv.pidx) for vi, gv in enumerate(ctx.gvars)}
     inverse = invert_map(targets)
     return MirrorData(ctx, I, dI, M, P, P0, tau, upsilon, V, c0, S, inverse)
 
@@ -480,17 +441,12 @@ def w_multiply(ctx: Context, A: dict, B: dict) -> dict:
     pairing class.
     """
     out: dict = {}
-    pts = ctx.points
     for k, fk in A.items():
         for l, fl in B.items():
-            de = ctx.pairing_eidx(k, l)
-            if de is None:
+            hit = ctx.translate(k, l)
+            if hit is None:
                 continue
-            tp = ctx.pindex.get(
-                tuple(a + b for a, b in zip(pts[k].point, pts[l].point))
-            )
-            if tp is None:
-                continue
+            tp, de = hit
             term = _key_shift(fk * fl, de, (), 0)
             out[tp] = out.get(tp, HSeries.zero(ctx)) + term
     return {k: v for k, v in out.items() if not v.is_zero()}
@@ -519,26 +475,12 @@ def w_exp(ctx: Context, A: dict) -> dict:
 
 def seidel_coordinates(md: MirrorData, target: HSeries) -> dict:
     """Coordinates x with sum_k x_k S_k = target (triangular in the order)."""
-    ctx = md.ctx
-    coords: dict = {}
-    resid = target
-    nmax = ctx.policy.qcap + ctx.policy.gcap
-    for r in range(0, nmax + 1):
-        resid_r = resid.order_part(r)
-        if resid_r.is_zero():
-            continue
-        seen = {p for inner in resid_r.terms.values() for (p, _) in inner}
-        for p in sorted(seen):
-            delta = phi_component(resid_r, p)
-            if delta.is_zero():
-                continue
-            coords[p] = coords.get(p, HSeries.zero(ctx)) + delta
-            resid = resid - delta * md.S[p]
+    coords, resid = _frame_coordinates(md.S, target)
     if not resid.is_zero():
         raise IdentityViolation(
             "class is not in the span of the Seidel frame at these caps"
         )
-    return {k: v for k, v in coords.items() if not v.is_zero()}
+    return coords
 
 
 def quantum_product(md: MirrorData, a, b) -> HSeries:
@@ -576,36 +518,14 @@ class PrimitiveForm:
 
 def _route_a(md: MirrorData) -> dict:
     """Solve sum_k c_k(z, y) P(phi_k) = 1 with z-polynomial coefficients."""
-    ctx = md.ctx
-    by_norm = sorted(range(len(ctx.points)), key=lambda p: -ctx.norms[p])
-    unit = HSeries.unit(ctx)
-    coeffs: dict = {}
-    nmax = ctx.policy.qcap + ctx.policy.gcap
-    for r in range(0, nmax + 1):
-        resid = unit
-        for k, ck in coeffs.items():
-            resid = resid - ck * md.P.col(k)
-        rem = resid.order_part(r)
-        for p in by_norm:
-            if rem.is_zero():
-                break
-            delta = phi_component(rem, p)
-            if delta.is_zero():
-                continue
-            if not delta.z_negative().is_zero():
-                raise NonPolynomialCoefficient(
-                    "volume-form coordinate needs a negative z power"
-                )
-            coeffs[p] = coeffs.get(p, HSeries.zero(ctx)) + delta
-            rem = rem - delta * md.P0.col(p)
-        if not rem.is_zero():
-            raise NormalizationFailure("triangular solve left a remainder")
-    resid = unit
-    for k, ck in coeffs.items():
-        resid = resid - ck * md.P.col(k)
+    coeffs, resid = _frame_coordinates(md.P.cols, HSeries.unit(md.ctx))
+    if any(not c.z_negative().is_zero() for c in coeffs.values()):
+        raise NonPolynomialCoefficient(
+            "volume-form coordinate needs a negative z power"
+        )
     if not resid.is_zero():
         raise NormalizationFailure("volume-form coordinates do not close")
-    return {k: v for k, v in coeffs.items() if not v.is_zero()}
+    return coeffs
 
 
 def _nilpotent_exp(ctx: Context, ray: int, L: HSeries) -> HSeries:
@@ -690,7 +610,7 @@ def _substituted_series(md: MirrorData, sol: dict) -> HSeries:
         if subs:
             piece = compose(piece, subs)
         if eps:
-            ell = ray_exponents(ctx, eidx, g)
+            ell = ctx.ray_exponents(ctx.eff[eidx], g)
             for i in eps:
                 if ell[i]:
                     piece = piece * int_power(i, ell[i])
@@ -787,7 +707,7 @@ def restore_divisor_variables(ctx: Context, s: HSeries) -> list[dict]:
     """
     recs = []
     for (eidx, g), inner in s.terms.items():
-        ell = ray_exponents(ctx, eidx, g)
+        ell = ctx.ray_exponents(ctx.eff[eidx], g)
         back = list(ell)
         for v, e in g:
             psi = ctx.points[ctx.gvars[v].pidx].psi
@@ -843,7 +763,6 @@ __all__ = [
     "quantum_product",
     "primitive_form",
     "phi_component",
-    "ray_exponents",
     "restore_divisor_variables",
     "from_divisor_records",
     "w_multiply",

@@ -31,7 +31,7 @@ from .errors import (
     TruncationLoss,
 )
 from .linalg import QQ, ZERO, mat_inv, rref
-from .series import Context, HSeries, _key_shift, compose, g_deg, invert_map
+from .series import Context, HSeries, _key_shift, compose, exp_series, invert_map
 
 # A module element is a map {generator index -> scalar coefficient series}.
 # Coefficients live on the unit class of the cohomology basis but may carry
@@ -97,17 +97,6 @@ def gm_equal(a: GMElement, b: GMElement) -> bool:
     return True
 
 
-def _translate(ctx: Context, kp: int, lp: int) -> tuple[int | None, int | None]:
-    """Target index and cocycle class for w^k acting on w^l."""
-    pts = ctx.points
-    tp = ctx.pindex.get(
-        tuple(a + b for a, b in zip(pts[kp].point, pts[lp].point))
-    )
-    if tp is None:
-        return None, None
-    return tp, ctx.pairing_eidx(kp, lp)
-
-
 # ------------------------------------------------------- module operations
 
 
@@ -124,14 +113,15 @@ def gm_multiply(ctx: Context, k, v: GMElement, strict: bool = True) -> GMElement
         f = v[lp]
         if f.is_zero():
             continue
-        tp, de = _translate(ctx, kp, lp)
-        if tp is None or de is None:
+        hit = ctx.translate(kp, lp)
+        if hit is None:
             if strict:
                 raise TruncationLoss(
                     f"translation by {ctx.points[kp].point} moves the "
                     f"generator at {ctx.points[lp].point} beyond the window"
                 )
             continue
+        tp, de = hit
         _add_into(out, tp, _key_shift(f, de, (), 0))
     return out
 
@@ -160,19 +150,19 @@ def gm_lambda_action(ctx: Context, i: int, v: GMElement) -> GMElement:
             bji = ctx.fan.rays[j][i]
             if not bji:
                 continue
-            tp, de = _translate(ctx, rp, lp)
-            if tp is None or de is None:
+            hit = ctx.translate(rp, lp)
+            if hit is None:
                 continue
+            tp, de = hit
             _add_into(out, tp, _key_shift(f, de, (), 0).scale(bji))
         for vidx, gv in enumerate(ctx.gvars):
-            if gv.kind != "y":
-                continue
             ki = ctx.points[gv.pidx].point[i]
             if not ki:
                 continue
-            tp, de = _translate(ctx, gv.pidx, lp)
-            if tp is None or de is None:
+            hit = ctx.translate(gv.pidx, lp)
+            if hit is None:
                 continue
+            tp, de = hit
             _add_into(out, tp, _key_shift(f, de, ((vidx, 1),), 0).scale(ki))
     return {p: s for p, s in out.items() if not s.is_zero()}
 
@@ -222,18 +212,9 @@ def theta_apply(md: MirrorData, v: GMElement) -> HSeries:
     return out
 
 
-def _y_cap(s: HSeries, cap: int) -> HSeries:
-    out = {
-        key: dict(inner)
-        for key, inner in s.terms.items()
-        if g_deg(key[1]) <= cap
-    }
-    return HSeries(s.ctx, out, s.lossy)
-
-
 def _difference(lhs: HSeries, rhs: HSeries, ycap: int | None, kcap: int) -> HSeries:
     if ycap is not None:
-        lhs, rhs = _y_cap(lhs, ycap), _y_cap(rhs, ycap)
+        lhs, rhs = lhs.y_degree_part(ycap), rhs.y_degree_part(ycap)
     return lhs.degree_cap(kcap) - rhs.degree_cap(kcap)
 
 
@@ -257,11 +238,7 @@ def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) ->
     kcoh, gcap = pol.kcoh, pol.gcap
     lcap = kcoh if lmax is None else lmax
     cols = [p for p in range(len(ctx.points)) if ctx.norms[p] <= lcap]
-    actives = [
-        (gv.pidx, vidx)
-        for vidx, gv in enumerate(ctx.gvars)
-        if gv.kind == "y"
-    ]
+    actives = [(gv.pidx, vidx) for vidx, gv in enumerate(ctx.gvars)]
     rays = list(enumerate(ctx.ray_pidx))
     report: list[dict] = []
 
@@ -290,10 +267,11 @@ def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) ->
     fails, done, skip = [], 0, 0
     for kp, _ in actives[:2] + [(rp, None) for _, rp in rays[:2]]:
         for lp in cols:
-            tp, de = _translate(ctx, kp, lp)
-            if tp is None or de is None:
+            hit = ctx.translate(kp, lp)
+            if hit is None:
                 skip += 1
                 continue
+            tp, de = hit
             lhs = theta_apply(md, gm_multiply(ctx, kp, gm_element(ctx, lp), strict=False))
             rhs = _key_shift(md.P.col(tp), de, (), 0)
             done += 1
@@ -305,10 +283,11 @@ def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) ->
     fails, done, skip = [], 0, 0
     for kp, vidx in actives:
         for lp in cols:
-            tp, de = _translate(ctx, kp, lp)
-            if tp is None or de is None:
+            hit = ctx.translate(kp, lp)
+            if hit is None:
                 skip += 1
                 continue
+            tp, de = hit
             col = md.P.col(lp)
             lhs = col.derive_var(vidx).z_shift(1) + quantum_product(md, md.S[kp], col)
             rhs = _key_shift(md.P.col(tp), de, (), 0)
@@ -327,10 +306,11 @@ def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) ->
     fails, done, skip = [], 0, 0
     for i, rp in rays:
         for lp in cols:
-            tp, de = _translate(ctx, rp, lp)
-            if tp is None or de is None:
+            hit = ctx.translate(rp, lp)
+            if hit is None:
                 skip += 1
                 continue
+            tp, de = hit
             col = md.P.col(lp)
             lhs = col.ray_gauge(i).z_shift(1) + quantum_product(md, md.S[rp], col)
             rhs = col.z_shift(1).scale(ctx.points[lp].psi[i]) + _key_shift(
@@ -386,23 +366,29 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
     For basis points k, l inside the user window the transported product is
     a single Novikov-weighted basis element:
         S_k * S_l = Q^{d(k,l)} S_{k+l}.
-    Returns the table of pairs together with a pass/fail status for each;
-    failures raise PropertyViolation when strict.
+    The product expands both factors in the S frame, so a pair also fails
+    when one of its three classes is not phi_k at order zero: the frame
+    solve would absorb such a term instead of exposing it.  Returns the
+    table of pairs together with a pass/fail status for each; failures
+    raise PropertyViolation when strict.
     """
     ctx = md.ctx
     kcoh = ctx.policy.kcoh
     pts = [p for p in range(len(ctx.points)) if ctx.norms[p] <= kcoh]
+    normal = {p: md.S[p].order_part(0) == HSeries.phi(ctx, p) for p in pts}
     rows = []
     bad = 0
     for kp in pts:
         for lp in pts:
             if lp < kp or ctx.norms[kp] + ctx.norms[lp] > kcoh:
                 continue
-            tp, de = _translate(ctx, kp, lp)
-            if tp is None or de is None:
+            hit = ctx.translate(kp, lp)
+            if hit is None:
                 continue
+            tp, de = hit
             prod = quantum_product(md, md.S[kp], md.S[lp])
-            ok = prod == _key_shift(md.S[tp], de, (), 0)
+            ok = normal[kp] and normal[lp] and normal[tp]
+            ok = ok and prod == _key_shift(md.S[tp], de, (), 0)
             if not ok:
                 bad += 1
                 if strict:
@@ -428,22 +414,6 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
 
 
 # ----------------------------------------- descent to a non-equivariant basis
-
-
-def _exp_scalar(s: HSeries) -> HSeries:
-    """exp of a scalar series with no constant term (finite at the caps)."""
-    ctx = s.ctx
-    nmax = ctx.policy.qcap + ctx.policy.gcap
-    total = HSeries.unit(ctx)
-    power = HSeries.unit(ctx)
-    fact = 1
-    for n in range(1, nmax + 1):
-        power = power * s
-        if power.is_zero():
-            break
-        fact *= n
-        total = total + power.scale(QQ(1, fact))
-    return total
 
 
 @dataclass
@@ -530,7 +500,7 @@ class NoneqRestriction:
                 for (a, j), w in zip(self.divisors, pair):
                     if w:
                         arg = arg + self._full_rider(a).scale(-w)
-                factor = _exp_scalar(arg)
+                factor = exp_series(arg)
                 cache[pair] = factor
             out = out + HSeries(ctx, td) * factor
         return out

@@ -13,7 +13,7 @@ cleverness.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 try:  # pragma: no cover - exercised implicitly by every test
     from gmpy2 import mpq as QQ
@@ -22,11 +22,6 @@ except ImportError:  # pragma: no cover
 
 ZERO = QQ(0)
 ONE = QQ(1)
-
-
-def qq(num, den=1):
-    """Build an exact rational from integers (or pass a rational through)."""
-    return QQ(num) if den == 1 else QQ(num, den)
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -73,10 +68,6 @@ def mat_inv(rows: Sequence[Sequence]) -> list[list]:
     return [row[n:] for row in aug]
 
 
-def mat_mul_vec(rows: Sequence[Sequence], vec: Sequence) -> list:
-    return [sum((QQ(a) * QQ(v) for a, v in zip(row, vec)), ZERO) for row in rows]
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form over Q.
 
@@ -102,19 +93,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
         if rank == len(m):
             break
     return m[:rank], pivots
-
-
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list:
-    """Solve a square linear system over Q exactly."""
-    inv = mat_inv(rows)
-    return mat_mul_vec(inv, rhs)
-
-
-def rank_exact(rows: Iterable[Sequence]) -> int:
-    rs = [list(r) for r in rows]
-    if not rs:
-        return 0
-    return len(rref(rs)[0])
 
 
 # --------------------------------------------------------------------------
@@ -143,13 +121,6 @@ def poly_add(p: PolyDict, q: PolyDict) -> PolyDict:
     return out
 
 
-def poly_scale(p: PolyDict, c) -> PolyDict:
-    c = QQ(c)
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-
 def poly_mul(p: PolyDict, q: PolyDict) -> PolyDict:
     out: PolyDict = {}
     for e1, c1 in p.items():
@@ -171,38 +142,4 @@ def poly_linear(nvars: int, coeffs: Sequence, const=0) -> PolyDict:
         if c != 0:
             e = tuple(1 if j == i else 0 for j in range(nvars))
             out = poly_add(out, {e: c})
-    return out
-
-
-def poly_pow(p: PolyDict, n: int, nvars: int) -> PolyDict:
-    out = poly_const(nvars, 1)
-    for _ in range(n):
-        out = poly_mul(out, p)
-    return out
-
-
-def poly_shift_last_var(p: PolyDict, shifts: Sequence) -> PolyDict:
-    """Substitute x_i -> x_i - shifts[i] * x_last for all non-last variables.
-
-    This is the equivariant-parameter shift f(lam, z) -> f(lam - k z, z): the
-    last variable plays the role of z.
-    """
-    if not p:
-        return {}
-    nvars = len(next(iter(p)))
-    out: PolyDict = {}
-    lasts = list(shifts) + [0] * (nvars - 1 - len(shifts))
-    for e, c in p.items():
-        term = poly_const(nvars, c)
-        for i, ei in enumerate(e[:-1]):
-            if ei == 0:
-                continue
-            base = poly_linear(nvars, [1 if j == i else 0 for j in range(nvars - 1)])
-            zmon = tuple(1 if j == nvars - 1 else 0 for j in range(nvars))
-            base = poly_add(base, {zmon: QQ(-lasts[i])}) if lasts[i] else base
-            term = poly_mul(term, poly_pow(base, ei, nvars))
-        if e[-1]:
-            zmon = tuple(e[-1] if j == nvars - 1 else 0 for j in range(nvars))
-            term = poly_mul(term, {zmon: ONE})
-        out = poly_add(out, term)
     return out

@@ -8,7 +8,7 @@ where phi_k is the basis class of a lattice point k of the fan support, z is
 the loop parameter (negative powers allowed inside a managed window), Q^d is a
 Novikov monomial indexed by an effective curve class, and y^g is a monomial in
 the deformation variables (one variable y_j per non-ray support point with
-|j| <= Kvar, plus optional z-direction variables y_{j,n}).
+|j| <= Kvar).
 
 Truncation semantics
 --------------------
@@ -61,7 +61,6 @@ class TruncationPolicy:
     zpos: int | None = None
     kwork: int | None = None
     active_points: tuple | None = None
-    yplus_orders: int = 0
 
     def label(self) -> dict:
         return {
@@ -75,15 +74,14 @@ class TruncationPolicy:
             "active_points": None
             if self.active_points is None
             else [list(p) for p in self.active_points],
-            "yplus_orders": self.yplus_orders,
         }
 
 
 @dataclass(frozen=True)
 class GVar:
-    kind: str   # "y" for ordinary deformation vars, "yp" for y_{k,n}
+    kind: str   # always "y": an ordinary deformation variable
     pidx: int   # support-point index
-    order: int  # n for yp vars, 0 otherwise
+    order: int  # always 0; the order slot of a record's gexp entry
 
 
 class Context:
@@ -135,14 +133,8 @@ class Context:
             self.gvars.append(GVar("y", i, 0))
         if active is not None and len(self.gvars) != len(active):
             raise PolicyMismatch("active_points must be non-ray points with |k| <= kvar")
-        for n in range(1, policy.yplus_orders + 1):
-            for i, pd in enumerate(self.points):
-                if pd.norm <= policy.kvar:
-                    self.gvars.append(GVar("yp", i, n))
         self.var_index = {(v.kind, v.pidx, v.order): vi for vi, v in enumerate(self.gvars)}
-        self.var_ewt = [
-            1 - v.order - self.norms[v.pidx] for v in self.gvars
-        ]
+        self.var_ewt = [1 - self.norms[v.pidx] for v in self.gvars]
 
         self.losses: Counter = Counter()
         self._prod: dict[tuple[int, int], int | None] = {}
@@ -193,6 +185,38 @@ class Context:
         self._pair[key] = res
         return res
 
+    def translate(self, p1: int, p2: int) -> tuple[int, int] | None:
+        """Target point and cocycle class of w^{k1} w^{k2} = Q^{d(k1,k2)} w^{k1+k2}.
+
+        None when k1 + k2 lies past kwork or d(k1, k2) past Qcap.
+        """
+        tp = self.pindex.get(
+            tuple(a + b for a, b in zip(self.points[p1].point, self.points[p2].point))
+        )
+        if tp is None:
+            return None
+        de = self.pairing_eidx(p1, p2)
+        return None if de is None else (tp, de)
+
+    def ray_exponents(self, d, g: tuple, offset_pidx=None) -> tuple:
+        """Per-ray exponents of the term at (Q^d, y^g), shifted once by a point.
+
+        The exponent on the ray b_i is d_i minus the psi_i-weighted variable
+        degrees; the optional offset subtracts psi_i of one more point (the
+        shape of a first-order extension column).  d is a class vector and
+        need not be effective.
+        """
+        ell = list(d)
+        for v, e in g:
+            for i, p in enumerate(self.points[self.gvars[v].pidx].psi):
+                if p:
+                    ell[i] -= p * e
+        if offset_pidx is not None:
+            for i, p in enumerate(self.points[offset_pidx].psi):
+                if p:
+                    ell[i] -= p
+        return tuple(ell)
+
     def note_degree_overflow(self, norm_sum: int, g_budget: int) -> bool:
         """Record a basis-degree drop; True if it could matter below Kcoh."""
         reachable = norm_sum - g_budget * max(self.policy.kvar - 1, 0)
@@ -214,31 +238,11 @@ class Context:
         return self.eff_deg[eidx] + sum(e for _, e in g)
 
     def var(self, point, order: int = 0) -> int:
-        """Variable index for the point (ordinary when order=0, else y+)."""
-        kind = "y" if order == 0 else "yp"
-        pidx = self.pindex[tuple(point)]
-        key = (kind, pidx, order)
+        """Variable index for the point; only order 0 is registered."""
+        key = ("y", self.pindex[tuple(point)], order)
         if key not in self.var_index:
             raise PolicyMismatch(f"no registered variable for point {point}, order {order}")
         return self.var_index[key]
-
-    def describe(self) -> dict:
-        return {
-            "fan": self.fan.to_dict(),
-            "policy": self.policy.label(),
-            "kwork": self.kwork,
-            "zpos": self.zpos,
-            "zneg": self.zneg,
-            "n_points": len(self.points),
-            "n_effective": len(self.eff),
-            "variables": [
-                {
-                    "point": list(self.points[v.pidx].point),
-                    "order": v.order,
-                }
-                for v in self.gvars
-            ],
-        }
 
 
 # ---------------------------------------------------------------- g-monomials
@@ -302,22 +306,11 @@ class HSeries:
     def novikov(cls, ctx, eidx: int):
         return cls(ctx, {(eidx, ()): {(ctx.unit_pidx, 0): QQ(1)}})
 
-    @classmethod
-    def from_class(cls, ctx, vec: dict, zexp: int = 0):
-        """Build from a cohomology class given as {point_idx: coeff}."""
-        inner = {(p, zexp): QQ(c) for p, c in vec.items() if QQ(c) != 0}
-        return cls(ctx, {(ctx.zero_eidx, ()): inner} if inner else {})
-
     # ----------------------------------------------------------- plumbing
 
     def _check(self, other: "HSeries"):
         if self.ctx is not other.ctx:
             raise PolicyMismatch("operands come from different contexts")
-
-    def copy(self) -> "HSeries":
-        return HSeries(
-            self.ctx, {k: dict(v) for k, v in self.terms.items()}, self.lossy
-        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -455,6 +448,15 @@ class HSeries:
         }
         return HSeries(self.ctx, out, self.lossy)
 
+    def y_degree_part(self, cap: int) -> "HSeries":
+        """Terms of total deformation-variable degree at most cap."""
+        out = {
+            key: dict(inner)
+            for key, inner in self.terms.items()
+            if g_deg(key[1]) <= cap
+        }
+        return HSeries(self.ctx, out, self.lossy)
+
     def max_order(self) -> int:
         return max((self.ctx.order(*key) for key in self.terms), default=0)
 
@@ -519,9 +521,7 @@ class HSeries:
         ctx = self.ctx
         out = {}
         for (eidx, g), inner in self.terms.items():
-            f = ctx.eff[eidx][ray] - sum(
-                ctx.points[ctx.gvars[v].pidx].psi[ray] * e for v, e in g
-            )
+            f = ctx.ray_exponents(ctx.eff[eidx], g)[ray]
             if f:
                 out[(eidx, g)] = {ik: c * f for ik, c in inner.items()}
         return HSeries(self.ctx, out, self.lossy)
@@ -681,9 +681,6 @@ class OperatorSeries:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.cols.values())
-
-    def lossy(self) -> bool:
-        return any(c.lossy for c in self.cols.values())
 
 
 def _key_shift(s: HSeries, eidx: int, g: tuple, zdelta: int) -> HSeries:

@@ -22,7 +22,6 @@ from .engine import (
     quantum_product,
 )
 from .errors import (
-    FactorizationResidue,
     IdentityViolation,
     MismatchedInvariant,
     PolicyMismatch,
@@ -206,16 +205,6 @@ class LocalizedSeries:
         self.zform = (0,) * ctx.fan.dim + (1,)
         self._cache: dict = {}
 
-    def exponents(self, d_vec, g):
-        """Per-ray exponents of the key (Q^d, y^g)."""
-        ell = list(d_vec)
-        for v, e in g:
-            psi = self.ctx.points[self.ctx.gvars[v].pidx].psi
-            for i, p in enumerate(psi):
-                if p:
-                    ell[i] -= p * e
-        return tuple(ell)
-
     def coefficient(self, d_vec, g) -> LinearFraction:
         key = (tuple(d_vec), g)
         if key in self._cache:
@@ -232,7 +221,7 @@ class LocalizedSeries:
         for _, e in g:
             lf = lf.scale(QQ(1, factorial(e)))
         lf = lf.times_form(self.zform, 1 - gsum)
-        for i, ell in enumerate(self.exponents(d_vec, g)):
+        for i, ell in enumerate(self.ctx.ray_exponents(d_vec, g)):
             u = self.weights[i]
             if ell > 0:
                 for c in range(1, ell + 1):
@@ -307,7 +296,7 @@ def localization_check(subject, k, policy=None, strict=True, _twist=None):
         for d in ctx.eff:
             for g in _g_monomials(ctx):
                 if ray_i is not None:
-                    ell = loc.exponents(d, g)[ray_i]
+                    ell = ctx.ray_exponents(d, g)[ray_i]
                     lhs = coeff(loc, d, g).times_form(
                         loc.weights[ray_i] + (ell,), 1
                     )
@@ -385,8 +374,6 @@ def _linear_relation_failures(md):
             if c:
                 acc = acc + md.S[rp].scale(c)
         for vi, gv in enumerate(ctx.gvars):
-            if gv.kind != "y":
-                continue
             c = ctx.points[gv.pidx].point[a]
             if c:
                 acc = acc + (HSeries.variable(ctx, vi) * md.S[gv.pidx]).scale(c)
@@ -400,7 +387,7 @@ def _suite_directions(ctx: Context):
     dirs = [(0,) * ctx.fan.dim]
     dirs.extend(ctx.fan.rays)
     for gv in ctx.gvars:
-        if gv.kind == "y" and gv.pidx != ctx.unit_pidx:
+        if gv.pidx != ctx.unit_pidx:
             dirs.append(ctx.points[gv.pidx].point)
     return dirs
 

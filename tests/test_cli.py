@@ -101,6 +101,15 @@ def test_check_controls_pass(capsys):
     }
 
 
+def test_check_controls_follow_the_caps(capsys):
+    code, out, _ = run_cli(["check", "--controls", "--fan", "p1", "--qcap", "1"], capsys)
+    entries = json.loads(out)
+    assert code == 0
+    assert len(entries) == 6
+    assert all(e["order"]["qcap"] == 1 for e in entries)
+    assert all(e["status"] == "pass" for e in entries)
+
+
 def test_oracle_counts(capsys):
     code, out, _ = run_cli(["oracle-p2", "--dmax", "3"], capsys)
     assert code == 0

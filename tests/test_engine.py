@@ -102,8 +102,8 @@ def test_active_columns_are_derivatives_where_complete(fan_dict):
     for vi, gv in enumerate(ctx.gvars):
         if gv.kind != "y":
             continue
-        col = engine._y_degree_part(md.dI.col(gv.pidx), cap)
-        dv = engine._y_degree_part(md.I.derive_var(vi), cap)
+        col = md.dI.col(gv.pidx).y_degree_part(cap)
+        dv = md.I.derive_var(vi).y_degree_part(cap)
         assert col == dv, ctx.points[gv.pidx].point
 
 
@@ -202,7 +202,7 @@ def test_mirror_map_linear_part(fan_dict):
     # tau vanishes at the origin, and its Novikov-free linear part is the
     # identity y |-> sum y_v phi_v (Novikov-dependent linear terms are the
     # genuine quantum corrections and are not pinned here)
-    assert engine._y_degree_part(md.tau, 0).is_zero()
+    assert md.tau.y_degree_part(0).is_zero()
     kept = {
         key: dict(inner)
         for key, inner in md.tau.terms.items()

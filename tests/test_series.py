@@ -230,13 +230,12 @@ def test_exp_log_roundtrip():
     assert series.exp_series(s + s) == e * e
 
 
-def test_yplus_variables():
-    ctx = make_ctx(yplus_orders=2)
-    v = ctx.var((0,), order=1)
-    gv = ctx.gvars[v]
-    assert gv.kind == "yp" and gv.order == 1
-    # ewt(y_{0,1}) = 1 - 1 - 0 = 0
-    yp = series.HSeries.variable(ctx, v)
-    assert yp.weights() == {0}
-    rec = yp.records()[0]
-    assert rec["gexp"] == [[[0], 1, 1]]
+def test_from_records_rejects_nonzero_variable_order():
+    ctx = make_ctx()
+    rec = series.HSeries.variable(ctx, ctx.var((0,))).records()[0]
+    assert rec["gexp"] == [[[0], 0, 1]]
+    rec["gexp"] = [[[0], 1, 1]]
+    with pytest.raises(PolicyMismatch):
+        series.HSeries.from_records(ctx, [rec])
+    with pytest.raises(PolicyMismatch):
+        ctx.var((0,), order=1)

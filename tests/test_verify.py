@@ -107,7 +107,7 @@ def test_localized_coefficients_match_hand_values():
 
     # a negative exponent on an off-cone ray kills the term
     vm = ctx.var_index[("y", ctx.pindex[(-2,)], 0)]
-    assert pos.exponents((1, 1), ((vm, 1),)) == (1, -1)
+    assert ctx.ray_exponents((1, 1), ((vm, 1),)) == (1, -1)
     assert pos.coefficient((1, 1), ((vm, 1),)).is_zero()
 
     # ineffective classes contribute nothing
