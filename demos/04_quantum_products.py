@@ -23,8 +23,7 @@ def context(name, **kw):
 
 def base_part(series):
     return HSeries(series.ctx,
-                   {k: dict(v) for k, v in series.terms.items() if not k[1]},
-                   series.lossy)
+                   {k: dict(v) for k, v in series.terms.items() if not k[1]})
 
 
 ctx = context("p1")

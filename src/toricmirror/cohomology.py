@@ -146,7 +146,7 @@ class NoneqBasis:
                     new_inner[(p, z)] = c
             if new_inner:
                 out[key] = new_inner
-        return HSeries(s.ctx, out, s.lossy)
+        return HSeries(s.ctx, out)
 
 
 def noneq_reduce(ctx: Context, target, basis: NoneqBasis | None = None):
@@ -195,7 +195,7 @@ def poincare_integral(ctx: Context, target, basis: NoneqBasis | None = None):
                     new_inner[(ctx.unit_pidx, z)] = val
             if new_inner:
                 out[key] = new_inner
-        return HSeries(ctx, out, target.lossy)
+        return HSeries(ctx, out)
     return integrate_vec(target)
 
 

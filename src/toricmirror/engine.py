@@ -38,7 +38,6 @@ and the factorization residual are asserted when ``check=True``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import factorial
 
@@ -50,6 +49,7 @@ from .errors import (
     NormalizationFailure,
     PolicyMismatch,
     RouteDisagreement,
+    TruncationLoss,
 )
 from .linalg import QQ
 from .series import (
@@ -67,14 +67,6 @@ from .series import (
 # ----------------------------------------------------------- shared helpers
 
 
-def _cache(ctx: Context) -> dict:
-    try:
-        return ctx._engine_cache
-    except AttributeError:
-        ctx._engine_cache = {}
-        return ctx._engine_cache
-
-
 def phi_component(s: HSeries, pidx: int) -> HSeries:
     """The scalar (z-carrying) series multiplying phi_k in s."""
     unit = s.ctx.unit_pidx
@@ -83,144 +75,89 @@ def phi_component(s: HSeries, pidx: int) -> HSeries:
         picked = {(unit, z): c for (p, z), c in inner.items() if p == pidx}
         if picked:
             out[key] = picked
-    return HSeries(s.ctx, out, s.lossy)
+    return HSeries(s.ctx, out)
 
 
-def _g_monomials(ctx: Context) -> list[tuple]:
-    """All monomials in the ordinary deformation variables with degree <= gcap."""
-    cache = _cache(ctx)
-    if "gmono" in cache:
-        return cache["gmono"]
-    vs = range(len(ctx.gvars))
-    out = []
-
-    def rec(pos, budget, acc):
-        out.append(tuple(acc))
-        for j in range(pos, len(vs)):
-            for e in range(1, budget + 1):
-                rec(j + 1, budget - e, acc + [(vs[j], e)])
-
-    rec(0, ctx.policy.gcap, [])
-    out.sort()
-    cache["gmono"] = out
-    return out
+# The ray factors are built in x_i = u_i/z: each basis class phi_k stands for
+# u^k/z^{|k|} and sits at z^0, so no partial product can leave the z window.
+# A finished term gets its z powers back from the grading in _series_sum.
 
 
 def _linear_inverse(ctx: Context, ray: int, c: int) -> HSeries:
-    """Expansion of 1/(u_i + c z) in the truncated ring (c a positive integer).
+    """z times 1/(u_i + c z), i.e. 1/(x_i + c), for a positive integer c.
 
-    u_i is nilpotent here, so the geometric series in u_i/(c z) terminates on
+    x_i is nilpotent here, so the geometric series in x_i/c terminates on
     its own once the multiples of the ray leave the working window.
     """
     inner = {}
-    lossy = False
     b = ctx.fan.rays[ray]
     t = 0
     while True:
         pidx = ctx.pindex.get(tuple(t * x for x in b))
         if pidx is None:
             break
-        zexp = -t - 1
-        if zexp < -ctx.zneg:
-            lossy = ctx.note_z_clip()
-            break
-        inner[(pidx, zexp)] = QQ((-1) ** t, c ** (t + 1))
+        inner[(pidx, 0)] = QQ((-1) ** t, c ** (t + 1))
         t += 1
-    return HSeries(ctx, {(ctx.zero_eidx, ()): inner}, lossy)
+    return HSeries(ctx, {(ctx.zero_eidx, ()): inner})
 
 
-def _hyper_factor(ctx: Context, ray: int, ell: int) -> HSeries:
-    """The ray factor of one hypergeometric term.
+def _hyper_factor(ctx: Context, ray: int, ell: int, factors: dict) -> HSeries:
+    """The ray factor of one hypergeometric term, times z^ell.
 
-    For ell >= 0 this is the product over c = 1..ell of 1/(u_i + c z); for
-    ell < 0 it is the polynomial product over c = ell+1..0 of (u_i + c z),
-    which includes the bare u_i at c = 0.
+    For ell >= 0 this is the product over c = 1..ell of 1/(x_i + c); for
+    ell < 0 it is the polynomial product over c = ell+1..0 of (x_i + c),
+    which includes the bare x_i at c = 0.
     """
-    cache = _cache(ctx).setdefault("factor", {})
     key = (ray, ell)
-    if key in cache:
-        return cache[key]
+    if key in factors:
+        return factors[key]
+    acc = HSeries.unit(ctx)
     if ell >= 0:
-        acc = HSeries.unit(ctx)
         for c in range(1, ell + 1):
             acc = acc * _linear_inverse(ctx, ray, c)
     else:
-        u = HSeries.phi(ctx, ctx.ray_pidx[ray])
-        acc = HSeries.unit(ctx)
+        x = HSeries.phi(ctx, ctx.ray_pidx[ray])
         for c in range(ell + 1, 1):
-            acc = acc * (u + HSeries.phi(ctx, ctx.unit_pidx, 1, c))
-    cache[key] = acc
+            acc = acc * (x + HSeries.phi(ctx, ctx.unit_pidx, 0, c))
+    factors[key] = acc
     return acc
 
 
-def _term_factor(ctx: Context, ell: tuple) -> HSeries:
+def _term_factor(ctx: Context, ell: tuple, factors: dict, terms: dict) -> HSeries:
     """Product of the ray factors for one exponent vector."""
-    cache = _cache(ctx).setdefault("term", {})
-    if ell in cache:
-        return cache[ell]
+    if ell in terms:
+        return terms[ell]
     acc = HSeries.unit(ctx)
     for i, l in enumerate(ell):
         if l:
-            acc = acc * _hyper_factor(ctx, i, l)
+            acc = acc * _hyper_factor(ctx, i, l, factors)
             if acc.is_zero():
                 break
-    cache[ell] = acc
+    terms[ell] = acc
     return acc
 
 
-@contextmanager
-def _wide_z_window(ctx: Context):
-    """Temporarily widen the z window while per-ray factors are multiplied.
+def _series_sum(ctx: Context, offset_pidx=None, caches=None) -> HSeries:
+    """The hypergeometric sum; offset None gives I, a point gives its column.
 
-    A finished term always sits inside the window (its weight is fixed and
-    the class part has nonnegative norm), but the partial products spike
-    above it by up to the sum of the negative ray exponents.  Building wide
-    and re-windowing the finished series keeps the loss counters honest:
-    they fire only for terms that are genuinely out of range.
+    ``caches`` is a pair of dicts (ray factors, term factors) shared by the
+    sums of one build.  The term at (Q^d, y^g) places phi_k of its factor at
+    z^(base - |g| - sum(ell) - |k|), windowed and counted there.
     """
-    saved = (ctx.zneg, ctx.zpos)
-    big = 4 * (ctx.zneg + ctx.zpos + ctx.kwork + 1)
-    ctx.zneg = ctx.zpos = big
-    try:
-        yield
-    finally:
-        ctx.zneg, ctx.zpos = saved
-
-
-def _rewindow(ctx: Context, s: HSeries) -> HSeries:
-    """Clip a wide-window series back to the policy window, noting losses."""
-    out = {}
-    lossy = s.lossy
-    for key, inner in s.terms.items():
-        kept = {}
-        for (p, z), c in inner.items():
-            if z < -ctx.zneg or z > ctx.zpos:
-                lossy |= ctx.note_z_clip()
-                continue
-            kept[(p, z)] = c
-        if kept:
-            out[key] = kept
-    return HSeries(ctx, out, lossy)
-
-
-def _series_sum(ctx: Context, offset_pidx=None) -> HSeries:
-    """The hypergeometric sum; offset None gives I, a point gives its column."""
+    factors, terms = caches if caches is not None else ({}, {})
     base_shift = 1 if offset_pidx is None else 0
-    with _wide_z_window(ctx):
-        total = HSeries.zero(ctx)
-        for eidx in range(len(ctx.eff)):
-            for g in _g_monomials(ctx):
-                ell = ctx.ray_exponents(ctx.eff[eidx], g, offset_pidx)
-                fac = _term_factor(ctx, ell)
-                if fac.is_zero():
-                    continue
-                coeff = QQ(1)
-                for _, e in g:
-                    coeff /= factorial(e)
-                total = total + _key_shift(
-                    fac, eidx, g, base_shift - g_deg(g)
-                ).scale(coeff)
-    return _rewindow(ctx, total)
+    out: dict = {}
+    for eidx in range(len(ctx.eff)):
+        for g in ctx.g_monomials:
+            ell = ctx.ray_exponents(ctx.eff[eidx], g, offset_pidx)
+            fac = _term_factor(ctx, ell, factors, terms)
+            coeff = QQ(1)
+            for _, e in g:
+                coeff /= factorial(e)
+            shift = base_shift - g_deg(g) - sum(ell)
+            for (p, _), c in fac.terms.get((ctx.zero_eidx, ()), {}).items():
+                fac._accumulate(out, eidx, g, p, shift - ctx.norms[p], c * coeff)
+    return HSeries(ctx, HSeries._cleanup(out))
 
 
 # --------------------------------------------------------------- the series
@@ -242,6 +179,7 @@ def build_dI(ctx: Context, I: HSeries | None = None) -> OperatorSeries:
     if I is None:
         I = build_I(ctx)
     ray_pos = {rp: i for i, rp in enumerate(ctx.ray_pidx)}
+    caches = ({}, {})
     cols = {}
     for pidx in range(len(ctx.points)):
         if pidx == ctx.unit_pidx:
@@ -253,7 +191,7 @@ def build_dI(ctx: Context, I: HSeries | None = None) -> OperatorSeries:
             # For an active point this is the y-derivative of I, but summed
             # directly so the column is complete at the top y-order (the
             # derivative of the truncated I would lose that order).
-            col = _series_sum(ctx, offset_pidx=pidx)
+            col = _series_sum(ctx, pidx, caches)
         cols[pidx] = col
     return OperatorSeries(ctx, cols)
 
@@ -425,6 +363,10 @@ def compute_mirror_data(ctx: Context, check: bool = True) -> MirrorData:
             if not col.is_homogeneous(ctx.norms[k]):
                 raise IdentityViolation("P column has mixed weight")
         _check_flow_identities(ctx, tau, S)
+        if any(ctx.losses.values()):
+            raise TruncationLoss(
+                f"truncation losses {dict(ctx.losses)}; widen the window"
+            )
     targets = {vi: phi_component(tau, gv.pidx) for vi, gv in enumerate(ctx.gvars)}
     inverse = invert_map(targets)
     return MirrorData(ctx, I, dI, M, P, P0, tau, upsilon, V, c0, S, inverse)

@@ -483,7 +483,7 @@ class NoneqRestriction:
             for key, inner in s.terms.items()
             if all(v in allowed for v, _ in key[1])
         }
-        composed = compose(HSeries(ctx, kept, s.lossy), self.curve)
+        composed = compose(HSeries(ctx, kept), self.curve)
         if not self.divisors:
             return composed
         groups: dict[int, dict] = {}

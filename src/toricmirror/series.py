@@ -23,8 +23,9 @@ and are dropped silently.  Everything else is managed-window bookkeeping:
   the Kwork margin comes from).
 * z window: exponents outside [-Zneg, Zpos] are dropped and always counted.
 
-Series carry a `lossy` flag and the shared Context keeps counters; acceptance
-runs assert the counters stay at zero, which the default windows guarantee.
+The shared Context keeps the loss counters, the one record of truncation:
+a run lost terms iff one of them is nonzero, and
+``compute_mirror_data(check=True)`` raises TruncationLoss then.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import factorial
 
 from fractions import Fraction
@@ -103,6 +105,8 @@ class Context:
         self.zneg = policy.zneg
         if self.zpos < policy.kcoh:
             raise PolicyMismatch("zpos must be at least kcoh")
+        if self.zneg < 0:
+            raise PolicyMismatch("zneg must be nonnegative")
 
         self.points = [
             fans.point_data(fan, k) for k in fans.enumerate_points(fan, self.kwork)
@@ -135,6 +139,12 @@ class Context:
             raise PolicyMismatch("active_points must be non-ray points with |k| <= kvar")
         self.var_index = {(v.kind, v.pidx, v.order): vi for vi, v in enumerate(self.gvars)}
         self.var_ewt = [1 - self.norms[v.pidx] for v in self.gvars]
+        # every variable monomial of degree <= gcap, as sorted (var, exp) pairs
+        self.g_monomials = sorted(
+            tuple(sorted(Counter(vs).items()))
+            for deg in range(policy.gcap + 1)
+            for vs in combinations_with_replacement(range(len(self.gvars)), deg)
+        )
 
         self.losses: Counter = Counter()
         self._prod: dict[tuple[int, int], int | None] = {}
@@ -217,17 +227,14 @@ class Context:
                     ell[i] -= p
         return tuple(ell)
 
-    def note_degree_overflow(self, norm_sum: int, g_budget: int) -> bool:
-        """Record a basis-degree drop; True if it could matter below Kcoh."""
+    def note_degree_overflow(self, norm_sum: int, g_budget: int):
+        """Count a basis-degree drop if it could matter below Kcoh."""
         reachable = norm_sum - g_budget * max(self.policy.kvar - 1, 0)
         if reachable <= self.policy.kcoh:
             self.losses["degree"] += 1
-            return True
-        return False
 
-    def note_z_clip(self) -> bool:
+    def note_z_clip(self):
         self.losses["z"] += 1
-        return True
 
     # --------------------------------------------------------- gradings
 
@@ -272,12 +279,11 @@ class HSeries:
     terms: {(eff_idx, g_monomial): {(point_idx, z_exp): coefficient}}
     """
 
-    __slots__ = ("ctx", "terms", "lossy")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms=None, lossy=False):
+    def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
         self.terms: dict = terms if terms is not None else {}
-        self.lossy = lossy
 
     # ------------------------------------------------------- constructors
 
@@ -323,10 +329,11 @@ class HSeries:
     def __hash__(self):  # pragma: no cover
         raise TypeError("HSeries is unhashable")
 
-    def _accumulate(self, out: dict, eidx, g, pidx, zexp, val) -> bool:
-        """Add one term into `out`; returns True if it was window-clipped."""
+    def _accumulate(self, out: dict, eidx, g, pidx, zexp, val):
+        """Add one term into `out`, or count it as a z-clip off the window."""
         if zexp < -self.ctx.zneg or zexp > self.ctx.zpos:
-            return self.ctx.note_z_clip()
+            self.ctx.note_z_clip()
+            return
         bucket = out.setdefault((eidx, g), {})
         key = (pidx, zexp)
         nv = bucket.get(key, ZERO) + val
@@ -334,7 +341,6 @@ class HSeries:
             bucket.pop(key, None)
         else:
             bucket[key] = nv
-        return False
 
     @staticmethod
     def _cleanup(out: dict):
@@ -357,7 +363,7 @@ class HSeries:
                     tgt.pop(ik, None)
                 else:
                     tgt[ik] = nv
-        return HSeries(self.ctx, self._cleanup(out), self.lossy or other.lossy)
+        return HSeries(self.ctx, self._cleanup(out))
 
     __radd__ = __add__
 
@@ -372,11 +378,10 @@ class HSeries:
     def scale(self, c) -> "HSeries":
         c = QQ(c)
         if c == 0:
-            return HSeries(self.ctx, lossy=self.lossy)
+            return HSeries(self.ctx)
         return HSeries(
             self.ctx,
             {k: {ik: v * c for ik, v in inner.items()} for k, inner in self.terms.items()},
-            self.lossy,
         )
 
     def __mul__(self, other):
@@ -386,7 +391,6 @@ class HSeries:
         ctx = self.ctx
         gcap = ctx.policy.gcap
         out: dict = {}
-        lossy = self.lossy or other.lossy
         for (e1, g1), c1 in self.terms.items():
             for (e2, g2), c2 in other.terms.items():
                 eidx = ctx.eff_add(e1, e2)
@@ -403,14 +407,12 @@ class HSeries:
                         if tgt is None:
                             continue
                         if tgt == OVERFLOW:
-                            lossy |= ctx.note_degree_overflow(
+                            ctx.note_degree_overflow(
                                 ctx.norms[p1] + ctx.norms[p2], budget
                             )
                             continue
-                        lossy |= self._accumulate(
-                            out, eidx, g, tgt, z1 + z2, v1 * v2
-                        )
-        return HSeries(ctx, self._cleanup(out), lossy)
+                        self._accumulate(out, eidx, g, tgt, z1 + z2, v1 * v2)
+        return HSeries(ctx, self._cleanup(out))
 
     __rmul__ = __mul__
 
@@ -429,15 +431,14 @@ class HSeries:
             picked = {(p, 0): c for (p, z), c in inner.items() if z == zexp}
             if picked:
                 out[key] = picked
-        return HSeries(self.ctx, out, self.lossy)
+        return HSeries(self.ctx, out)
 
     def z_shift(self, delta: int) -> "HSeries":
         out: dict = {}
-        lossy = self.lossy
         for (eidx, g), inner in self.terms.items():
             for (p, z), c in inner.items():
-                lossy |= self._accumulate(out, eidx, g, p, z + delta, c)
-        return HSeries(self.ctx, self._cleanup(out), lossy)
+                self._accumulate(out, eidx, g, p, z + delta, c)
+        return HSeries(self.ctx, self._cleanup(out))
 
     def order_part(self, n: int) -> "HSeries":
         """Terms whose combined order (Novikov degree + variable degree) is n."""
@@ -446,7 +447,7 @@ class HSeries:
             for key, inner in self.terms.items()
             if self.ctx.order(*key) == n
         }
-        return HSeries(self.ctx, out, self.lossy)
+        return HSeries(self.ctx, out)
 
     def y_degree_part(self, cap: int) -> "HSeries":
         """Terms of total deformation-variable degree at most cap."""
@@ -455,7 +456,7 @@ class HSeries:
             for key, inner in self.terms.items()
             if g_deg(key[1]) <= cap
         }
-        return HSeries(self.ctx, out, self.lossy)
+        return HSeries(self.ctx, out)
 
     def max_order(self) -> int:
         return max((self.ctx.order(*key) for key in self.terms), default=0)
@@ -469,7 +470,7 @@ class HSeries:
             }
             if kept:
                 out[key] = kept
-        return HSeries(self.ctx, out, self.lossy)
+        return HSeries(self.ctx, out)
 
     def _filter_inner(self, pred) -> "HSeries":
         out = {}
@@ -477,7 +478,7 @@ class HSeries:
             kept = {(p, z): c for (p, z), c in inner.items() if pred(p, z)}
             if kept:
                 out[key] = kept
-        return HSeries(self.ctx, out, self.lossy)
+        return HSeries(self.ctx, out)
 
     # -------------------------------------------------------- derivations
 
@@ -501,7 +502,7 @@ class HSeries:
                     tgt.pop(ik, None)
                 else:
                     tgt[ik] = nv
-        return HSeries(self.ctx, self._cleanup(out), self.lossy)
+        return HSeries(self.ctx, self._cleanup(out))
 
     def novikov_scale(self, ray: int) -> "HSeries":
         """The logarithmic Novikov derivative Q_i d/dQ_i (i = ray index)."""
@@ -510,7 +511,7 @@ class HSeries:
             f = self.ctx.eff[eidx][ray]
             if f:
                 out[(eidx, g)] = {ik: c * f for ik, c in inner.items()}
-        return HSeries(self.ctx, out, self.lossy)
+        return HSeries(self.ctx, out)
 
     def ray_gauge(self, ray: int) -> "HSeries":
         """Derivative along the absorbed ray variable on the gauge slice.
@@ -524,7 +525,7 @@ class HSeries:
             f = ctx.ray_exponents(ctx.eff[eidx], g)[ray]
             if f:
                 out[(eidx, g)] = {ik: c * f for ik, c in inner.items()}
-        return HSeries(self.ctx, out, self.lossy)
+        return HSeries(self.ctx, out)
 
     # ------------------------------------------------------------ grading
 
@@ -595,7 +596,7 @@ class HSeries:
 
     def __repr__(self):  # pragma: no cover
         n = sum(len(v) for v in self.terms.values())
-        return f"<HSeries {n} terms over {len(self.terms)} keys lossy={self.lossy}>"
+        return f"<HSeries {n} terms over {len(self.terms)} keys>"
 
 
 # ---------------------------------------------------------- operator columns
@@ -622,13 +623,11 @@ class OperatorSeries:
         ctx = self.ctx
         gcap = ctx.policy.gcap
         out: dict = {}
-        lossy = s.lossy
         for (eidx, g), inner in s.terms.items():
             for (p, z), c in inner.items():
                 col = self.cols.get(p)
                 if col is None:
                     continue
-                lossy |= col.lossy
                 for (e1, g1), inner1 in col.terms.items():
                     e2 = ctx.eff_add(e1, eidx)
                     if e2 is None:
@@ -640,7 +639,7 @@ class OperatorSeries:
                     for (p1, z1), c1 in inner1.items():
                         ze = z1 + z
                         if ze < -ctx.zneg or ze > ctx.zpos:
-                            lossy |= ctx.note_z_clip()
+                            ctx.note_z_clip()
                             continue
                         key = (p1, ze)
                         nv = bucket.get(key, ZERO) + c1 * c
@@ -648,7 +647,7 @@ class OperatorSeries:
                             bucket.pop(key, None)
                         else:
                             bucket[key] = nv
-        return HSeries(ctx, HSeries._cleanup(out), lossy)
+        return HSeries(ctx, HSeries._cleanup(out))
 
     def compose(self, other: "OperatorSeries") -> "OperatorSeries":
         return OperatorSeries(
@@ -689,7 +688,6 @@ def _key_shift(s: HSeries, eidx: int, g: tuple, zdelta: int) -> HSeries:
     if eidx == ctx.zero_eidx and not g and zdelta == 0:
         return s
     out: dict = {}
-    lossy = s.lossy
     gcap = ctx.policy.gcap
     for (e1, g1), inner in s.terms.items():
         e2 = ctx.eff_add(e1, eidx)
@@ -699,8 +697,8 @@ def _key_shift(s: HSeries, eidx: int, g: tuple, zdelta: int) -> HSeries:
         if g_deg(gm) > gcap:
             continue
         for (p, z), c in inner.items():
-            lossy |= s._accumulate(out, e2, gm, p, z + zdelta, c)
-    return HSeries(ctx, HSeries._cleanup(out), lossy)
+            s._accumulate(out, e2, gm, p, z + zdelta, c)
+    return HSeries(ctx, HSeries._cleanup(out))
 
 
 # ------------------------------------------------- composition and inversion

@@ -16,7 +16,6 @@ from . import fans
 from .cohomology import lambda_class, poincare_integral
 from .engine import (
     _check_flow_identities,
-    _g_monomials,
     compute_mirror_data,
     primitive_form,
     quantum_product,
@@ -263,11 +262,7 @@ def localization_check(subject, k, policy=None, strict=True, _twist=None):
     and Delta_x(k) is the finite weight ratio of the fixed point.  Returns
     one report entry per fixed point; raises IdentityViolation when strict.
     """
-    if isinstance(subject, Context):
-        ctx = subject
-    else:
-        fan = subject if isinstance(subject, fans.Fan) else fans.load_fan(subject)
-        ctx = Context(fan, policy or TruncationPolicy(**_DEFAULT_CAPS))
+    ctx = _as_context(subject, policy)
     fan = ctx.fan
     k, pd, ray_i, vidx = _direction_data(ctx, k)
 
@@ -294,7 +289,7 @@ def localization_check(subject, k, policy=None, strict=True, _twist=None):
         checked = 0
         witness = None
         for d in ctx.eff:
-            for g in _g_monomials(ctx):
+            for g in ctx.g_monomials:
                 if ray_i is not None:
                     ell = ctx.ray_exponents(d, g)[ray_i]
                     lhs = coeff(loc, d, g).times_form(

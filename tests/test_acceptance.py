@@ -38,7 +38,7 @@ def mirror_data():
 
 def base_point_part(series):
     terms = {key: dict(inner) for key, inner in series.terms.items() if not key[1]}
-    return HSeries(series.ctx, terms, series.lossy)
+    return HSeries(series.ctx, terms)
 
 
 def test_criterion_1_factorization(mirror_data):

@@ -207,6 +207,13 @@ def test_class_token_errors(token, message, capsys):
     assert message in json.loads(err)["message"]
 
 
+def test_negative_zneg_is_a_policy_error(capsys):
+    code, out, err = run_cli(["mirror-map", "--fan", "p1", "--zneg", "-3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "PolicyMismatch"
+
+
 # ------------------------------------------------------- process interface
 
 

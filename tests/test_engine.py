@@ -17,6 +17,8 @@ Independent oracles used here:
     the same column -- two different formulas for one object.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -28,6 +30,7 @@ from toricmirror import engine
 from toricmirror.errors import (
     FactorizationResidue,
     PolicyMismatch,
+    TruncationLoss,
 )
 from toricmirror.series import HSeries, OperatorSeries, compose
 
@@ -42,7 +45,7 @@ def mirror(fan_dict, **kw):
 def g_free(s):
     """The variable-free part of a series."""
     kept = {k: dict(v) for k, v in s.terms.items() if not k[1]}
-    return HSeries(s.ctx, kept, False)
+    return HSeries(s.ctx, kept)
 
 
 def var_coefficient(s, vidx):
@@ -51,7 +54,7 @@ def var_coefficient(s, vidx):
     for (eidx, g), inner in s.terms.items():
         if g == ((vidx, 1),):
             out[(eidx, ())] = dict(inner)
-    return HSeries(s.ctx, out, False)
+    return HSeries(s.ctx, out)
 
 
 # ------------------------------------------------------ hypergeometric series
@@ -187,9 +190,37 @@ def test_corrupted_columns_are_rejected():
 
 def test_starved_window_is_accounted():
     ctx = make_ctx(P1, zneg=2)
-    md = engine.compute_mirror_data(ctx)
+    engine.compute_mirror_data(ctx, check=False)
     assert ctx.losses["z"] > 0
-    assert md.I.lossy
+    with pytest.raises(TruncationLoss):
+        engine.compute_mirror_data(make_ctx(P1, zneg=2))
+
+
+def test_mirror_data_leaves_the_context_alone():
+    ctx = make_ctx(P1)
+    fields = set(vars(ctx))
+    window = (ctx.zneg, ctx.zpos)
+    engine.compute_mirror_data(ctx)
+    assert set(vars(ctx)) == fields
+    assert (ctx.zneg, ctx.zpos) == window
+
+
+def test_columns_below_kwork_clip_where_pinned():
+    """p2 with zpos 3, below kwork 5: finished terms are windowed one by one.
+
+    The z-clip count and the digest of the column records are pinned from
+    a build that multiplied the ray factors in a widened z window and
+    clipped the finished sum back; the z^0 build must clip where it did.
+    """
+    ctx = make_ctx(P2, zpos=3)
+    assert ctx.kwork == 5
+    dI = engine.build_dI(ctx)
+    assert dict(ctx.losses) == {"z": 459}
+    recs = sorted([list(ctx.points[k].point), c.records()] for k, c in dI.cols.items())
+    digest = hashlib.sha256(json.dumps(recs).encode()).hexdigest()
+    assert digest == (
+        "1bab1617e73c50d483963c880d51941e558e531428cc1335f1c9a909147d93b4"
+    )
 
 
 # --------------------------------------------------------------- mirror map
@@ -213,7 +244,7 @@ def test_mirror_map_linear_part(fan_dict):
         if gv.kind != "y":
             continue
         want = want + HSeries.variable(ctx, vi) * HSeries.phi(ctx, gv.pidx)
-    assert HSeries(ctx, kept, False) == want
+    assert HSeries(ctx, kept) == want
 
 
 def _p1_degree_zero_oracle():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,16 @@ def test_context_tables():
     pts = sorted(ctx.points[v.pidx].point for v in ctx.gvars)
     assert pts == [(-2,), (0,), (2,)]
     assert ctx.eff == [(0, 0), (1, 1)]  # degree cap 3 on theta=(1,1)
+
+
+@pytest.mark.parametrize("fan_dict,gcap", [(P1, 0), (P1, 2), (P2, 3)])
+def test_g_monomials_table(fan_dict, gcap):
+    ctx = make_ctx(fan_dict, gcap=gcap)
+    monos = ctx.g_monomials
+    assert monos == sorted(set(monos))
+    assert all(series.g_deg(g) <= gcap for g in monos)
+    assert all(list(g) == sorted(dict(g).items()) for g in monos)
+    assert len(monos) == comb(len(ctx.gvars) + gcap, gcap)
 
 
 def test_phi_products():
@@ -151,7 +162,6 @@ def test_zwindow_clip_counts_loss():
     before = ctx.losses["z"]
     prod = deep * shallow
     assert prod.is_zero()
-    assert prod.lossy
     assert ctx.losses["z"] == before + 1
 
 
