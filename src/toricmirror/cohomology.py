@@ -13,7 +13,7 @@ elimination, which makes the reduction canonical and idempotent.
 from __future__ import annotations
 
 from .errors import NonCompactFan, TruncationLoss
-from .linalg import QQ, ZERO, PolyDict, poly_add, poly_const, poly_linear, poly_mul, rref
+from .linalg import QQ, ZERO, PolyDict, canon, poly_add, poly_const, poly_linear, poly_mul, rref
 from .series import Context, HSeries
 from . import fans
 
@@ -143,7 +143,7 @@ class NoneqBasis:
             new_inner = {}
             for z, vec in by_z.items():
                 for p, c in self.reduce_class(vec).items():
-                    new_inner[(p, z)] = c
+                    new_inner[(p, z)] = canon(c)
             if new_inner:
                 out[key] = new_inner
         return HSeries(s.ctx, out)
@@ -192,7 +192,7 @@ def poincare_integral(ctx: Context, target, basis: NoneqBasis | None = None):
             for z, vec in by_z.items():
                 val = integrate_vec(vec)
                 if val != 0:
-                    new_inner[(ctx.unit_pidx, z)] = val
+                    new_inner[(ctx.unit_pidx, z)] = canon(val)
             if new_inner:
                 out[key] = new_inner
         return HSeries(ctx, out)

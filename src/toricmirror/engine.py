@@ -51,7 +51,7 @@ from .errors import (
     RouteDisagreement,
     TruncationLoss,
 )
-from .linalg import QQ
+from .linalg import QQ, canon
 from .series import (
     Context,
     HSeries,
@@ -96,7 +96,7 @@ def _linear_inverse(ctx: Context, ray: int, c: int) -> HSeries:
         pidx = ctx.pindex.get(tuple(t * x for x in b))
         if pidx is None:
             break
-        inner[(pidx, 0)] = QQ((-1) ** t, c ** (t + 1))
+        inner[(pidx, 0)] = canon(QQ((-1) ** t, c ** (t + 1)))
         t += 1
     return HSeries(ctx, {(ctx.zero_eidx, ()): inner})
 
@@ -151,9 +151,10 @@ def _series_sum(ctx: Context, offset_pidx=None, caches=None) -> HSeries:
         for g in ctx.g_monomials:
             ell = ctx.ray_exponents(ctx.eff[eidx], g, offset_pidx)
             fac = _term_factor(ctx, ell, factors, terms)
-            coeff = QQ(1)
+            den = 1
             for _, e in g:
-                coeff /= factorial(e)
+                den *= factorial(e)
+            coeff = canon(QQ(1, den))
             shift = base_shift - g_deg(g) - sum(ell)
             for (p, _), c in fac.terms.get((ctx.zero_eidx, ()), {}).items():
                 fac._accumulate(out, eidx, g, p, shift - ctx.norms[p], c * coeff)

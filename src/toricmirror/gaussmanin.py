@@ -30,7 +30,7 @@ from .errors import (
     SingularJacobian,
     TruncationLoss,
 )
-from .linalg import QQ, ZERO, mat_inv, rref
+from .linalg import QQ, ZERO, canon, mat_inv, rref
 from .series import Context, HSeries, _key_shift, compose, exp_series, invert_map
 
 # A module element is a map {generator index -> scalar coefficient series}.
@@ -466,7 +466,7 @@ class NoneqRestriction:
                     if val:
                         coords[a].setdefault((eidx, g), {})[
                             (ctx.unit_pidx, z)
-                        ] = val
+                        ] = canon(val)
         return {a: HSeries(ctx, coords[a]) for a in range(n)}
 
     def restrict_scalar(self, s: HSeries) -> HSeries:

@@ -1,9 +1,13 @@
 """Exact rational arithmetic helpers.
 
-Everything in the engine is computed over Q.  gmpy2's mpq is used when
-available (it is several times faster than fractions.Fraction on the dense
-convolution loops); the stdlib Fraction is a drop-in fallback.  Both expose
-.numerator/.denominator, which is all the serialization layer relies on.
+Everything in the engine is computed over Q.  ``QQ`` is gmpy2's mpq when
+available and the stdlib Fraction otherwise; both expose .numerator and
+.denominator, which is all the serialization layer relies on.  A series
+stores a coefficient as a plain ``int`` when it is integral and as a ``QQ``
+otherwise (:func:`canon`), since most coefficients are integers and int
+arithmetic is the cheapest; an integral ``QQ`` is correct, only slower.
+Beware division: ``int / int`` is a float, so a quotient is formed as
+``QQ(num, den)`` or with a ``QQ`` operand (``ONE / x`` below).
 
 The matrix routines operate on plain lists of lists of rationals and use
 fraction-free/ordinary Gaussian elimination.  Sizes here are tiny (fan
@@ -22,6 +26,15 @@ except ImportError:  # pragma: no cover
 
 ZERO = QQ(0)
 ONE = QQ(1)
+
+
+def canon(x):
+    """The stored form of a rational: int when integral, QQ otherwise."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not QQ:
+        x = QQ(x)
+    return int(x.numerator) if x.denominator == 1 else x
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:

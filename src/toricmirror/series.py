@@ -26,6 +26,9 @@ and are dropped silently.  Everything else is managed-window bookkeeping:
 The shared Context keeps the loss counters, the one record of truncation:
 a run lost terms iff one of them is nonzero, and
 ``compute_mirror_data(check=True)`` raises TruncationLoss then.
+
+Every stored coefficient is an ``int`` when integral and a ``QQ`` otherwise
+(``linalg.canon``); the arithmetic below keeps that invariant.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from fractions import Fraction
 
 from . import fans
 from .errors import PolicyMismatch, SingularJacobian
-from .linalg import QQ, ZERO, mat_inv
+from .linalg import QQ, ZERO, canon, mat_inv
 
 OVERFLOW = -1
 SCALARS = (int, Fraction, type(QQ(0)))
@@ -90,6 +93,9 @@ class Context:
     """A fan together with a truncation policy and all derived tables."""
 
     def __init__(self, fan: fans.Fan, policy: TruncationPolicy):
+        for cap in ("kcoh", "kvar", "qcap", "gcap", "zneg"):
+            if getattr(policy, cap) < 0:
+                raise PolicyMismatch(f"{cap} must be nonnegative")
         self.fan = fan
         self.policy = policy
         self.kwork = (
@@ -105,8 +111,6 @@ class Context:
         self.zneg = policy.zneg
         if self.zpos < policy.kcoh:
             raise PolicyMismatch("zpos must be at least kcoh")
-        if self.zneg < 0:
-            raise PolicyMismatch("zneg must be nonnegative")
 
         self.points = [
             fans.point_data(fan, k) for k in fans.enumerate_points(fan, self.kwork)
@@ -121,6 +125,11 @@ class Context:
         self.eff_deg = [fan.degree(d) for d in self.eff]
         self.c1_deg = [sum(d) for d in self.eff]  # anticanonical degree
         self.zero_eidx = self.eindex[(0,) * fan.n_rays]
+        # eadd[e1][e2]: index of the class e1 + e2, None past Qcap
+        self.eadd = [
+            [self.eindex.get(tuple(x + y for x, y in zip(d1, d2))) for d2 in self.eff]
+            for d1 in self.eff
+        ]
 
         ray_set = set(self.ray_pidx)
         active = (
@@ -148,7 +157,6 @@ class Context:
 
         self.losses: Counter = Counter()
         self._prod: dict[tuple[int, int], int | None] = {}
-        self._eadd: dict[tuple[int, int], int | None] = {}
         self._pair: dict[tuple[int, int], int | None] = {}
 
     # ------------------------------------------------------------- tables
@@ -170,16 +178,6 @@ class Context:
             target = tuple(x + y for x, y in zip(a.point, b.point))
             res = self.pindex[target]
         self._prod[key] = res
-        return res
-
-    def eff_add(self, e1: int, e2: int) -> int | None:
-        key = (e1, e2) if e1 <= e2 else (e2, e1)
-        hit = self._eadd.get(key, "miss")
-        if hit != "miss":
-            return hit
-        d = tuple(x + y for x, y in zip(self.eff[key[0]], self.eff[key[1]]))
-        res = self.eindex.get(d)
-        self._eadd[key] = res
         return res
 
     def pairing_eidx(self, p1: int, p2: int) -> int | None:
@@ -270,6 +268,25 @@ def g_deg(g: tuple) -> int:
     return sum(e for _, e in g)
 
 
+def _add_to(bucket: dict, key, val):
+    """bucket[key] += val, dropping a zero and storing an integral QQ as int."""
+    nv = bucket.get(key, 0) + val
+    if nv == 0:
+        bucket.pop(key, None)
+    elif nv.__class__ is int or nv.denominator != 1:
+        bucket[key] = nv
+    else:
+        bucket[key] = int(nv.numerator)
+
+
+def _by_degree(s: "HSeries") -> list:
+    """(variable degree, class, monomial, inner) per key, lowest degree first."""
+    return sorted(
+        ((g_deg(g), e, g, inner) for (e, g), inner in s.terms.items()),
+        key=lambda t: t[0],
+    )
+
+
 # -------------------------------------------------------------------- HSeries
 
 
@@ -297,7 +314,7 @@ class HSeries:
 
     @classmethod
     def phi(cls, ctx, pidx: int, zexp: int = 0, coeff=1):
-        c = QQ(coeff)
+        c = canon(coeff)
         if c == 0:
             return cls(ctx)
         return cls(ctx, {(ctx.zero_eidx, ()): {(pidx, zexp): c}})
@@ -305,12 +322,12 @@ class HSeries:
     @classmethod
     def variable(cls, ctx, vidx: int):
         return cls(
-            ctx, {(ctx.zero_eidx, ((vidx, 1),)): {(ctx.unit_pidx, 0): QQ(1)}}
+            ctx, {(ctx.zero_eidx, ((vidx, 1),)): {(ctx.unit_pidx, 0): 1}}
         )
 
     @classmethod
     def novikov(cls, ctx, eidx: int):
-        return cls(ctx, {(eidx, ()): {(ctx.unit_pidx, 0): QQ(1)}})
+        return cls(ctx, {(eidx, ()): {(ctx.unit_pidx, 0): 1}})
 
     # ----------------------------------------------------------- plumbing
 
@@ -334,13 +351,7 @@ class HSeries:
         if zexp < -self.ctx.zneg or zexp > self.ctx.zpos:
             self.ctx.note_z_clip()
             return
-        bucket = out.setdefault((eidx, g), {})
-        key = (pidx, zexp)
-        nv = bucket.get(key, ZERO) + val
-        if nv == 0:
-            bucket.pop(key, None)
-        else:
-            bucket[key] = nv
+        _add_to(out.setdefault((eidx, g), {}), (pidx, zexp), val)
 
     @staticmethod
     def _cleanup(out: dict):
@@ -358,11 +369,7 @@ class HSeries:
         for key, inner in other.terms.items():
             tgt = out.setdefault(key, {})
             for ik, c in inner.items():
-                nv = tgt.get(ik, ZERO) + c
-                if nv == 0:
-                    tgt.pop(ik, None)
-                else:
-                    tgt[ik] = nv
+                _add_to(tgt, ik, c)
         return HSeries(self.ctx, self._cleanup(out))
 
     __radd__ = __add__
@@ -376,12 +383,15 @@ class HSeries:
         return self + other.scale(-1)
 
     def scale(self, c) -> "HSeries":
-        c = QQ(c)
+        c = canon(c)
         if c == 0:
             return HSeries(self.ctx)
         return HSeries(
             self.ctx,
-            {k: {ik: v * c for ik, v in inner.items()} for k, inner in self.terms.items()},
+            {
+                k: {ik: canon(v * c) for ik, v in inner.items()}
+                for k, inner in self.terms.items()
+            },
         )
 
     def __mul__(self, other):
@@ -390,17 +400,22 @@ class HSeries:
         self._check(other)
         ctx = self.ctx
         gcap = ctx.policy.gcap
+        zlo, zhi = -ctx.zneg, ctx.zpos
+        # a left key of degree d1 meets only right keys of degree <= gcap - d1
+        right = _by_degree(other)
         out: dict = {}
         for (e1, g1), c1 in self.terms.items():
-            for (e2, g2), c2 in other.terms.items():
-                eidx = ctx.eff_add(e1, e2)
+            room = gcap - g_deg(g1)
+            row = ctx.eadd[e1]
+            for d2, e2, g2, c2 in right:
+                if d2 > room:
+                    break
+                eidx = row[e2]
                 if eidx is None:
                     continue  # Novikov quotient
                 g = g_merge(g1, g2)
-                gd = g_deg(g)
-                if gd > gcap:
-                    continue  # variable-degree quotient
-                budget = gcap - gd
+                budget = room - d2
+                bucket = out.setdefault((eidx, g), {})
                 for (p1, z1), v1 in c1.items():
                     for (p2, z2), v2 in c2.items():
                         tgt = ctx.phi_mul(p1, p2)
@@ -411,7 +426,11 @@ class HSeries:
                                 ctx.norms[p1] + ctx.norms[p2], budget
                             )
                             continue
-                        self._accumulate(out, eidx, g, tgt, z1 + z2, v1 * v2)
+                        ze = z1 + z2
+                        if ze < zlo or ze > zhi:
+                            ctx.note_z_clip()
+                            continue
+                        _add_to(bucket, (tgt, ze), v1 * v2)
         return HSeries(ctx, self._cleanup(out))
 
     __rmul__ = __mul__
@@ -497,11 +516,7 @@ class HSeries:
             key = (eidx, tuple(sorted(gd.items())))
             tgt = out.setdefault(key, {})
             for ik, c in inner.items():
-                nv = tgt.get(ik, ZERO) + c * e
-                if nv == 0:
-                    tgt.pop(ik, None)
-                else:
-                    tgt[ik] = nv
+                _add_to(tgt, ik, c * e)
         return HSeries(self.ctx, self._cleanup(out))
 
     def novikov_scale(self, ray: int) -> "HSeries":
@@ -510,7 +525,7 @@ class HSeries:
         for (eidx, g), inner in self.terms.items():
             f = self.ctx.eff[eidx][ray]
             if f:
-                out[(eidx, g)] = {ik: c * f for ik, c in inner.items()}
+                out[(eidx, g)] = {ik: canon(c * f) for ik, c in inner.items()}
         return HSeries(self.ctx, out)
 
     def ray_gauge(self, ray: int) -> "HSeries":
@@ -524,7 +539,7 @@ class HSeries:
         for (eidx, g), inner in self.terms.items():
             f = ctx.ray_exponents(ctx.eff[eidx], g)[ray]
             if f:
-                out[(eidx, g)] = {ik: c * f for ik, c in inner.items()}
+                out[(eidx, g)] = {ik: canon(c * f) for ik, c in inner.items()}
         return HSeries(self.ctx, out)
 
     # ------------------------------------------------------------ grading
@@ -588,9 +603,7 @@ class HSeries:
             if pidx is None:
                 raise PolicyMismatch(f"point {r['k']} outside the policy window")
             inner = terms.setdefault((eidx, g), {})
-            inner[(pidx, r["zexp"])] = (
-                inner.get((pidx, r["zexp"]), ZERO) + QQ(r["num"], r["den"])
-            )
+            _add_to(inner, (pidx, r["zexp"]), QQ(r["num"], r["den"]))
         out.terms = cls._cleanup(terms)
         return out
 
@@ -622,31 +635,30 @@ class OperatorSeries:
         """Apply the operator; series coefficients ride along multiplicatively."""
         ctx = self.ctx
         gcap = ctx.policy.gcap
+        zlo, zhi = -ctx.zneg, ctx.zpos
+        eadd = ctx.eadd
+        by_deg: dict = {}  # column keys sorted by variable degree, per point
         out: dict = {}
         for (eidx, g), inner in s.terms.items():
+            room = gcap - g_deg(g)
             for (p, z), c in inner.items():
-                col = self.cols.get(p)
-                if col is None:
-                    continue
-                for (e1, g1), inner1 in col.terms.items():
-                    e2 = ctx.eff_add(e1, eidx)
+                keys = by_deg.get(p)
+                if keys is None:
+                    col = self.cols.get(p)
+                    keys = by_deg[p] = () if col is None else _by_degree(col)
+                for d1, e1, g1, inner1 in keys:
+                    if d1 > room:
+                        break
+                    e2 = eadd[e1][eidx]
                     if e2 is None:
                         continue
-                    gm = g_merge(g1, g)
-                    if g_deg(gm) > gcap:
-                        continue
-                    bucket = out.setdefault((e2, gm), {})
+                    bucket = out.setdefault((e2, g_merge(g1, g)), {})
                     for (p1, z1), c1 in inner1.items():
                         ze = z1 + z
-                        if ze < -ctx.zneg or ze > ctx.zpos:
+                        if ze < zlo or ze > zhi:
                             ctx.note_z_clip()
                             continue
-                        key = (p1, ze)
-                        nv = bucket.get(key, ZERO) + c1 * c
-                        if nv == 0:
-                            bucket.pop(key, None)
-                        else:
-                            bucket[key] = nv
+                        _add_to(bucket, (p1, ze), c1 * c)
         return HSeries(ctx, HSeries._cleanup(out))
 
     def compose(self, other: "OperatorSeries") -> "OperatorSeries":
@@ -690,7 +702,7 @@ def _key_shift(s: HSeries, eidx: int, g: tuple, zdelta: int) -> HSeries:
     out: dict = {}
     gcap = ctx.policy.gcap
     for (e1, g1), inner in s.terms.items():
-        e2 = ctx.eff_add(e1, eidx)
+        e2 = ctx.eadd[e1][eidx]
         if e2 is None:
             continue
         gm = g_merge(g1, g)

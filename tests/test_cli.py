@@ -214,6 +214,17 @@ def test_negative_zneg_is_a_policy_error(capsys):
     assert json.loads(err)["error"] == "PolicyMismatch"
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--kcoh", "-1"), ("--kcoh", "-2"), ("--kvar", "-1"),
+    ("--qcap", "-1"), ("--gcap", "-1"),
+])
+def test_negative_caps_are_policy_errors(flag, value, capsys):
+    code, out, err = run_cli(["mirror-map", "--fan", "p1", flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "PolicyMismatch"
+
+
 # ------------------------------------------------------- process interface
 
 

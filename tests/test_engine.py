@@ -32,6 +32,7 @@ from toricmirror.errors import (
     PolicyMismatch,
     TruncationLoss,
 )
+from toricmirror.linalg import QQ
 from toricmirror.series import HSeries, OperatorSeries, compose
 
 
@@ -480,6 +481,31 @@ def test_quantum_commutative_and_associative(fan_dict):
     assert q(md, a, b) == q(md, b, a)
     c = rays[1] if len(rays) > 1 else a
     assert q(md, q(md, a, b), c) == q(md, a, q(md, b, c))
+
+
+def _coefficients(obj):
+    """Every stored coefficient of a series or of an operator's columns."""
+    if isinstance(obj, OperatorSeries):
+        return [c for col in obj.cols.values() for c in _coefficients(col)]
+    return [c for inner in obj.terms.values() for c in inner.values()]
+
+
+@pytest.mark.parametrize("fan_dict", [P1, C2, P2], ids=["p1", "c2", "p2"])
+def test_coefficients_are_canonical_scalars(fan_dict):
+    md = mirror(fan_dict)
+    ctx = md.ctx
+    prod = engine.quantum_product(md, ctx.ray_pidx[0], ctx.ray_pidx[-1])
+    parts = {"I": md.I, "dI": md.dI, "M": md.M, "P": md.P, "tau": md.tau,
+             "product": prod, **{f"S{k}": s for k, s in md.S.items()}}
+    for name, obj in parts.items():
+        for c in _coefficients(obj):
+            assert not isinstance(c, float), name
+            if c.denominator == 1:
+                assert type(c) is int, (name, c)
+            else:
+                assert type(c) is QQ, (name, c)
+    two = HSeries.phi(ctx, ctx.unit_pidx, coeff=Fraction(4, 2))
+    assert type(two.terms[(ctx.zero_eidx, ())][(ctx.unit_pidx, 0)]) is int
 
 
 # ------------------------------------------------------------ primitive form

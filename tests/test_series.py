@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from toricmirror import fans, series
 from toricmirror.errors import PolicyMismatch, SingularJacobian
-from toricmirror.linalg import QQ
+from toricmirror.linalg import QQ, canon
 
 P1 = {"name": "p1", "dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
 P2 = {
@@ -126,6 +127,168 @@ def test_derivation_leibniz(data):
             {k: dict(val) for k, val in s.terms.items() if series.g_deg(k[1]) <= cap},
         )
     assert trim(lhs) == trim(rhs)
+
+
+# ------------------------------------------------- reference kernel on Fraction
+#
+# The all-pairs product and operator application, written without the
+# kernel's degree pruning, dense class table or int coefficients: every
+# coefficient is a Fraction and every key pair is visited.  The kernel must
+# give the same terms and record the same losses.
+
+
+def _ref_eadd(ctx, e1, e2):
+    return ctx.eindex.get(tuple(a + b for a, b in zip(ctx.eff[e1], ctx.eff[e2])))
+
+
+def _ref_add(ctx, out, key, ik, val):
+    if ik[1] < -ctx.zneg or ik[1] > ctx.zpos:
+        ctx.note_z_clip()
+        return
+    bucket = out.setdefault(key, {})
+    nv = bucket.get(ik, Fraction(0)) + val
+    if nv == 0:
+        bucket.pop(ik, None)
+    else:
+        bucket[ik] = nv
+
+
+def ref_mul(a, b):
+    ctx = a.ctx
+    gcap = ctx.policy.gcap
+    out = {}
+    for (e1, g1), c1 in a.terms.items():
+        for (e2, g2), c2 in b.terms.items():
+            eidx = _ref_eadd(ctx, e1, e2)
+            if eidx is None:
+                continue
+            g = series.g_merge(g1, g2)
+            gd = series.g_deg(g)
+            if gd > gcap:
+                continue
+            for (p1, z1), v1 in c1.items():
+                for (p2, z2), v2 in c2.items():
+                    tgt = ctx.phi_mul(p1, p2)
+                    if tgt is None:
+                        continue
+                    if tgt == series.OVERFLOW:
+                        ctx.note_degree_overflow(
+                            ctx.norms[p1] + ctx.norms[p2], gcap - gd
+                        )
+                        continue
+                    _ref_add(ctx, out, (eidx, g), (tgt, z1 + z2),
+                             Fraction(v1) * Fraction(v2))
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_apply(op, s):
+    ctx = s.ctx
+    gcap = ctx.policy.gcap
+    out = {}
+    for (eidx, g), inner in s.terms.items():
+        for (p, z), c in inner.items():
+            col = op.cols.get(p)
+            if col is None:
+                continue
+            for (e1, g1), inner1 in col.terms.items():
+                e2 = _ref_eadd(ctx, e1, eidx)
+                if e2 is None:
+                    continue
+                gm = series.g_merge(g1, g)
+                if series.g_deg(gm) > gcap:
+                    continue
+                for (p1, z1), c1 in inner1.items():
+                    _ref_add(ctx, out, (e2, gm), (p1, z1 + z),
+                             Fraction(c1) * Fraction(c))
+    return {k: v for k, v in out.items() if v}
+
+
+REFERENCE_CTXS = {
+    "p1": lambda: make_ctx(P1, qcap=5, gcap=3),
+    "p2": lambda: make_ctx(P2),
+    # kwork at kcoh + 1: a basis-degree drop is counted iff the variable
+    # budget left (0, 1 or 2) could bring it back below kcoh
+    "p1-kwork4": lambda: make_ctx(P1, qcap=5, gcap=3, kwork=4),
+}
+
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(10 ** 30), 10 ** 30),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(2, 12)),
+)
+
+
+def raw_series(ctx, draw):
+    """A series with keys up to gcap + 1 and canonical int or QQ coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        eidx = draw(st.integers(0, len(ctx.eff) - 1))
+        nvars = draw(st.integers(0, ctx.policy.gcap + 1))
+        vs = [draw(st.integers(0, len(ctx.gvars) - 1)) for _ in range(nvars)]
+        g = tuple(sorted(Counter(vs).items()))
+        inner = terms.setdefault((eidx, g), {})
+        for _ in range(draw(st.integers(1, 4))):
+            pidx = draw(st.integers(0, len(ctx.points) - 1))
+            z = draw(st.integers(-ctx.zneg, ctx.zpos))
+            c = canon(draw(coefficients))
+            if c:
+                inner[(pidx, z)] = c
+    return series.HSeries(ctx, {k: v for k, v in terms.items() if v})
+
+
+def losses_of(ctx, fn, *args):
+    before = dict(ctx.losses)
+    out = fn(*args)
+    return out, {k: v - before.get(k, 0) for k, v in ctx.losses.items()
+                 if v != before.get(k, 0)}
+
+
+def assert_canonical(s):
+    for inner in s.terms.values():
+        for c in inner.values():
+            assert type(c) is (int if c.denominator == 1 else QQ), c
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_product_matches_reference(data):
+    ctx = REFERENCE_CTXS[data.draw(st.sampled_from(sorted(REFERENCE_CTXS)))]()
+    a = raw_series(ctx, data.draw)
+    b = raw_series(ctx, data.draw)
+    got, got_loss = losses_of(ctx, lambda: a * b)
+    want, want_loss = losses_of(ctx, ref_mul, a, b)
+    assert got.terms == want
+    assert got_loss == want_loss
+    assert_canonical(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_apply_matches_reference(data):
+    ctx = REFERENCE_CTXS[data.draw(st.sampled_from(sorted(REFERENCE_CTXS)))]()
+    pts = data.draw(st.sets(st.integers(0, len(ctx.points) - 1), max_size=6))
+    op = series.OperatorSeries(ctx, {p: raw_series(ctx, data.draw) for p in pts})
+    s = raw_series(ctx, data.draw)
+    got, got_loss = losses_of(ctx, op.apply, s)
+    want, want_loss = losses_of(ctx, ref_apply, op, s)
+    assert got.terms == want
+    assert got_loss == want_loss
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("nvars,counted", [(1, 1), (2, 0)])
+def test_degree_overflow_at_the_budget_edge(nvars, counted):
+    # p1 at kwork 4: phi_(2) * phi_(3) overflows with norm sum 5, counted iff
+    # the budget gcap - |g| = 3 - nvars is at least 5 - kcoh = 2
+    ctx = make_ctx(P1, qcap=5, gcap=3, kwork=4)
+    y = ctx.var((0,))
+    a = series.HSeries(ctx, {(0, ((y, nvars),)): {(ctx.pindex[(2,)], 0): 1}})
+    b = series.HSeries.phi(ctx, ctx.pindex[(3,)], coeff=Fraction(1, 3))
+    for x, w in ((a, b), (b, a)):
+        got, got_loss = losses_of(ctx, lambda: x * w)
+        want, want_loss = losses_of(ctx, ref_mul, x, w)
+        assert got.is_zero() and not want
+        assert got_loss == want_loss == ({"degree": counted} if counted else {})
 
 
 def test_novikov_derivations():
