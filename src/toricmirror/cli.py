@@ -84,7 +84,10 @@ def _phi(ctx: Context, token: str) -> HSeries:
 
 
 def _parse_section(token: str):
-    return [tuple(int(x) for x in part.split(",")) for part in token.split(";")]
+    try:
+        return [tuple(int(x) for x in part.split(",")) for part in token.split(";")]
+    except ValueError:
+        raise PolicyMismatch(f"cannot parse section {token!r}") from None
 
 
 # ------------------------------------------------------------ subcommands
@@ -211,9 +214,8 @@ def _cmd_primitive_form(args):
 
 
 def _cmd_noneq(args):
-    ctx = _context(args)
-    md = compute_mirror_data(ctx)
     section = _parse_section(args.section) if args.section else None
+    md = compute_mirror_data(_context(args))
     nr = noneq_restrict(md, section=section)
     return 0, nr.to_dict()
 
@@ -230,6 +232,9 @@ def _cmd_check(args):
 
 
 def _cmd_oracle_p2(args):
+    least = 2 if args.compare else 1  # --compare needs a curve count to compare
+    if args.dmax < least:
+        raise PolicyMismatch(f"--dmax must be at least {least}")
     if args.compare:
         report = wdvv_compare(dmax=args.dmax, strict=False)
         return (0 if report["status"] == "pass" else 1), report

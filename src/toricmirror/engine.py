@@ -56,7 +56,9 @@ from .series import (
     Context,
     HSeries,
     OperatorSeries,
+    _by_degree,
     _key_shift,
+    _mul_into,
     compose,
     g_deg,
     invert_map,
@@ -202,12 +204,34 @@ def build_dI(ctx: Context, I: HSeries | None = None) -> OperatorSeries:
 
 def _grading_inverse(ctx: Context, P0: OperatorSeries) -> OperatorSeries:
     """Inverse of the unit-triangular order-zero block (finite Neumann sum)."""
-    ident = OperatorSeries.identity(ctx)
-    N = P0 - ident
-    X = ident
+    N = P0 - OperatorSeries.identity(ctx)
+    X = OperatorSeries.identity(ctx)
     for _ in range(ctx.kwork + 1):
-        X = ident - N.compose(X)
+        X, prev = OperatorSeries.identity(ctx), X
+        X._add_composed(N, prev, -1)
     return X
+
+
+def _merge_slices(ctx: Context, parts: dict) -> OperatorSeries:
+    """The sum of the order slices; their keys are disjoint, so no arithmetic."""
+    cols: dict = {}
+    for n in sorted(parts):
+        for k, col in parts[n].cols.items():
+            cols.setdefault(k, {}).update(col.terms)
+    return OperatorSeries(ctx, {k: HSeries(ctx, t) for k, t in cols.items()})
+
+
+def _cross_residual(Mparts: dict, Pparts: dict) -> OperatorSeries:
+    """Sum of M_a . P_b over a, b >= 1 with a + b past the last order.
+
+    On the slices of ``birkhoff_factorize`` this is exactly M . P - dI.
+    """
+    nmax = max(Pparts)
+    acc = OperatorSeries(Pparts[0].ctx)
+    for a in range(1, nmax + 1):
+        for b in range(nmax + 1 - a, nmax + 1):
+            acc._add_composed(Mparts[a], Pparts[b], 1)
+    return acc
 
 
 def birkhoff_factorize(ctx: Context, dI: OperatorSeries, check: bool = True):
@@ -216,8 +240,13 @@ def birkhoff_factorize(ctx: Context, dI: OperatorSeries, check: bool = True):
     The columns are solved order by order in the combined (Novikov plus
     variable) degree; at each order the negative part of the residue composed
     with the inverse of the order-zero block is the new slice of M, and what
-    remains is the new slice of P.  When ``check`` is set the full residual
-    M . P - dI is recomputed and must vanish identically on the window.
+    remains is the new slice of P; products accumulate in place into R_n.
+
+    With ``check``, M . P - dI must vanish on the window.  Orders add and
+    ``compose`` is bilinear term by term, caps and z-clips included, so at
+    each n <= nmax the residual is P_n + M_n . P_0 + sum_{a=1}^{n-1}
+    M_a . P_{n-a} - dI_n, which the loop made zero; what is left is exactly
+    the sum of M_a . P_b over a, b >= 1 with a + b > nmax (``_cross_residual``).
     """
     P0 = dI.order_part(0)
     if not P0.z_negative().is_zero():
@@ -226,33 +255,25 @@ def birkhoff_factorize(ctx: Context, dI: OperatorSeries, check: bool = True):
         )
     P0inv = _grading_inverse(ctx, P0)
     nmax = max((c.max_order() for c in dI.cols.values()), default=0)
-    ident = OperatorSeries.identity(ctx)
-    Mparts = {0: ident}
+    Mparts = {0: OperatorSeries.identity(ctx)}
     Pparts = {0: P0}
     for n in range(1, nmax + 1):
         R = dI.order_part(n)
         for a in range(1, n):
-            R = R - Mparts[a].compose(Pparts[n - a])
+            R._add_composed(Mparts[a], Pparts[n - a], -1)
         Mn = R.compose(P0inv).z_negative()
-        Pn = R - Mn.compose(P0)
-        if not Pn.z_negative().is_zero():
+        R._add_composed(Mn, P0, -1)
+        if not R.z_negative().is_zero():
             raise NegativePowerInP(
                 f"order-{n} slice of P acquired negative z powers"
             )
         Mparts[n] = Mn
-        Pparts[n] = Pn
-    M = ident
-    P = P0
-    for n in range(1, nmax + 1):
-        M = M + Mparts[n]
-        P = P + Pparts[n]
-    if check:
-        resid = M.compose(P) - dI
-        if not resid.is_zero():
-            raise FactorizationResidue(
-                "factorization residual is nonzero; the z window is too small"
-            )
-    return M, P
+        Pparts[n] = R
+    if check and not _cross_residual(Mparts, Pparts).is_zero():
+        raise FactorizationResidue(
+            "factorization residual is nonzero; the z window is too small"
+        )
+    return _merge_slices(ctx, Mparts), _merge_slices(ctx, Pparts)
 
 
 # ------------------------------------------------- Seidel classes and frames
@@ -291,13 +312,15 @@ def _frame_coordinates(frame: dict, target: HSeries) -> tuple[dict, HSeries]:
 
 def _seidel_family(ctx: Context, V: dict, c0: dict) -> dict:
     """S_k = sum_l c0_l Q^{d(k,l)} V_{k+l} for every basis point k."""
-    one = HSeries.unit(ctx)
+    right = {t: _by_degree(v) for t, v in V.items()}
     S = {}
     for k in range(len(ctx.points)):
-        acc = HSeries.zero(ctx)
-        for t, ct in w_multiply(ctx, {k: one}, c0).items():
-            acc = acc + ct * V[t]
-        S[k] = acc
+        out: dict = {}
+        for l, cl in c0.items():
+            hit = ctx.translate(k, l)
+            if hit is not None:
+                _mul_into(out, _key_shift(cl, hit[1], (), 0), right[hit[0]])
+        S[k] = HSeries(ctx, HSeries._cleanup(out))
     return S
 
 
@@ -440,11 +463,10 @@ def quantum_product(md: MirrorData, a, b) -> HSeries:
         b = HSeries.phi(ctx, b)
     ca = seidel_coordinates(md, a)
     cb = seidel_coordinates(md, b)
-    prod = w_multiply(ctx, ca, cb)
-    out = HSeries.zero(ctx)
-    for k, fk in prod.items():
-        out = out + fk * md.S[k]
-    return out
+    out: dict = {}
+    for k, fk in w_multiply(ctx, ca, cb).items():
+        _mul_into(out, fk, _by_degree(md.S[k]))
+    return HSeries(ctx, HSeries._cleanup(out))
 
 
 # ------------------------------------------------------------ primitive form
@@ -659,22 +681,8 @@ def restore_divisor_variables(ctx: Context, s: HSeries) -> list[dict]:
                     back[i] += p * e
         if tuple(back) != ctx.eff[eidx]:
             raise IdentityViolation("ray exponents do not recompose the class")
-        gexp = [
-            [list(ctx.points[ctx.gvars[v].pidx].point), ctx.gvars[v].order, e]
-            for v, e in g
-        ]
-        for (p, z), c in sorted(inner.items()):
-            recs.append(
-                {
-                    "k": list(ctx.points[p].point),
-                    "zexp": z,
-                    "d": list(ctx.eff[eidx]),
-                    "gexp": gexp,
-                    "ray_exponents": list(ell),
-                    "num": int(c.numerator),
-                    "den": int(c.denominator),
-                }
-            )
+        for r in HSeries(ctx, {(eidx, g): inner}).records():
+            recs.append({**r, "ray_exponents": list(ell)})
     recs.sort(key=lambda r: (r["d"], r["gexp"], r["k"], r["zexp"]))
     return recs
 

@@ -23,6 +23,11 @@ and are dropped silently.  Everything else is managed-window bookkeeping:
   the Kwork margin comes from).
 * z window: exponents outside [-Zneg, Zpos] are dropped and always counted.
 
+Products go through two accumulating kernels, ``_mul_into`` (series times
+series, behind ``HSeries.__mul__``) and ``_apply_into`` (operator on a series,
+behind ``OperatorSeries.apply`` and ``compose``); each adds its product into
+a terms dict the caller passes in, so sums of products need no copies.
+
 The shared Context keeps the loss counters, the one record of truncation:
 a run lost terms iff one of them is nonzero, and
 ``compute_mirror_data(check=True)`` raises TruncationLoss then.
@@ -157,7 +162,6 @@ class Context:
 
         self.losses: Counter = Counter()
         self._prod: dict[tuple[int, int], int | None] = {}
-        self._pair: dict[tuple[int, int], int | None] = {}
 
     # ------------------------------------------------------------- tables
 
@@ -180,30 +184,18 @@ class Context:
         self._prod[key] = res
         return res
 
-    def pairing_eidx(self, p1: int, p2: int) -> int | None:
-        """Effective-class index of the pairing d(k1, k2); None past Qcap."""
-        key = (p1, p2) if p1 <= p2 else (p2, p1)
-        hit = self._pair.get(key, "miss")
-        if hit != "miss":
-            return hit
-        d = fans.pairing_d(
-            self.fan, self.points[key[0]].point, self.points[key[1]].point
-        )
-        res = self.eindex.get(d)
-        self._pair[key] = res
-        return res
-
     def translate(self, p1: int, p2: int) -> tuple[int, int] | None:
         """Target point and cocycle class of w^{k1} w^{k2} = Q^{d(k1,k2)} w^{k1+k2}.
 
-        None when k1 + k2 lies past kwork or d(k1, k2) past Qcap.
+        d(k1, k2) = psi(k1) + psi(k2) - psi(k1 + k2), read off the stored
+        points.  None when k1 + k2 lies past kwork or d(k1, k2) past Qcap.
         """
-        tp = self.pindex.get(
-            tuple(a + b for a, b in zip(self.points[p1].point, self.points[p2].point))
-        )
+        a, b = self.points[p1], self.points[p2]
+        tp = self.pindex.get(tuple(x + y for x, y in zip(a.point, b.point)))
         if tp is None:
             return None
-        de = self.pairing_eidx(p1, p2)
+        d = (x + y - z for x, y, z in zip(a.psi, b.psi, self.points[tp].psi))
+        de = self.eindex.get(tuple(d))
         return None if de is None else (tp, de)
 
     def ray_exponents(self, d, g: tuple, offset_pidx=None) -> tuple:
@@ -287,6 +279,70 @@ def _by_degree(s: "HSeries") -> list:
     )
 
 
+def _mul_into(out: dict, left: HSeries, right: list) -> dict:
+    """out += left * right, with right given as _by_degree of a series."""
+    ctx = left.ctx
+    gcap = ctx.policy.gcap
+    zlo, zhi = -ctx.zneg, ctx.zpos
+    # a left key of degree d1 meets only right keys of degree <= gcap - d1
+    for (e1, g1), c1 in left.terms.items():
+        room = gcap - g_deg(g1)
+        row = ctx.eadd[e1]
+        for d2, e2, g2, c2 in right:
+            if d2 > room:
+                break
+            eidx = row[e2]
+            if eidx is None:
+                continue  # Novikov quotient
+            g = g_merge(g1, g2)
+            budget = room - d2
+            bucket = out.setdefault((eidx, g), {})
+            for (p1, z1), v1 in c1.items():
+                for (p2, z2), v2 in c2.items():
+                    tgt = ctx.phi_mul(p1, p2)
+                    if tgt is None:
+                        continue
+                    if tgt == OVERFLOW:
+                        ctx.note_degree_overflow(ctx.norms[p1] + ctx.norms[p2], budget)
+                        continue
+                    ze = z1 + z2
+                    if ze < zlo or ze > zhi:
+                        ctx.note_z_clip()
+                        continue
+                    _add_to(bucket, (tgt, ze), v1 * v2)
+    return out
+
+
+def _apply_into(out: dict, op: "OperatorSeries", s: HSeries, sign: int, by_deg: dict) -> dict:
+    """out += sign * op(s); by_deg caches op's columns sorted by variable degree."""
+    ctx = op.ctx
+    gcap = ctx.policy.gcap
+    zlo, zhi = -ctx.zneg, ctx.zpos
+    eadd = ctx.eadd
+    for (eidx, g), inner in s.terms.items():
+        room = gcap - g_deg(g)
+        for (p, z), c in inner.items():
+            keys = by_deg.get(p)
+            if keys is None:
+                col = op.cols.get(p)
+                keys = by_deg[p] = () if col is None else _by_degree(col)
+            c = c if sign > 0 else -c
+            for d1, e1, g1, inner1 in keys:
+                if d1 > room:
+                    break
+                e2 = eadd[e1][eidx]
+                if e2 is None:
+                    continue
+                bucket = out.setdefault((e2, g_merge(g1, g)), {})
+                for (p1, z1), c1 in inner1.items():
+                    ze = z1 + z
+                    if ze < zlo or ze > zhi:
+                        ctx.note_z_clip()
+                        continue
+                    _add_to(bucket, (p1, ze), c1 * c)
+    return out
+
+
 # -------------------------------------------------------------------- HSeries
 
 
@@ -361,7 +417,8 @@ class HSeries:
 
     # --------------------------------------------------------- arithmetic
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, adding coefficients into a copy of self."""
         if isinstance(other, SCALARS):
             other = HSeries.phi(self.ctx, self.ctx.unit_pidx, coeff=other)
         self._check(other)
@@ -369,7 +426,7 @@ class HSeries:
         for key, inner in other.terms.items():
             tgt = out.setdefault(key, {})
             for ik, c in inner.items():
-                _add_to(tgt, ik, c)
+                _add_to(tgt, ik, c if sign > 0 else -c)
         return HSeries(self.ctx, self._cleanup(out))
 
     __radd__ = __add__
@@ -378,9 +435,7 @@ class HSeries:
         return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, SCALARS):
-            other = HSeries.phi(self.ctx, self.ctx.unit_pidx, coeff=other)
-        return self + other.scale(-1)
+        return self.__add__(other, -1)
 
     def scale(self, c) -> "HSeries":
         c = canon(c)
@@ -398,40 +453,7 @@ class HSeries:
         if isinstance(other, SCALARS):
             return self.scale(other)
         self._check(other)
-        ctx = self.ctx
-        gcap = ctx.policy.gcap
-        zlo, zhi = -ctx.zneg, ctx.zpos
-        # a left key of degree d1 meets only right keys of degree <= gcap - d1
-        right = _by_degree(other)
-        out: dict = {}
-        for (e1, g1), c1 in self.terms.items():
-            room = gcap - g_deg(g1)
-            row = ctx.eadd[e1]
-            for d2, e2, g2, c2 in right:
-                if d2 > room:
-                    break
-                eidx = row[e2]
-                if eidx is None:
-                    continue  # Novikov quotient
-                g = g_merge(g1, g2)
-                budget = room - d2
-                bucket = out.setdefault((eidx, g), {})
-                for (p1, z1), v1 in c1.items():
-                    for (p2, z2), v2 in c2.items():
-                        tgt = ctx.phi_mul(p1, p2)
-                        if tgt is None:
-                            continue
-                        if tgt == OVERFLOW:
-                            ctx.note_degree_overflow(
-                                ctx.norms[p1] + ctx.norms[p2], budget
-                            )
-                            continue
-                        ze = z1 + z2
-                        if ze < zlo or ze > zhi:
-                            ctx.note_z_clip()
-                            continue
-                        _add_to(bucket, (tgt, ze), v1 * v2)
-        return HSeries(ctx, self._cleanup(out))
+        return HSeries(self.ctx, self._cleanup(_mul_into({}, self, _by_degree(other))))
 
     __rmul__ = __mul__
 
@@ -633,44 +655,22 @@ class OperatorSeries:
 
     def apply(self, s: HSeries) -> HSeries:
         """Apply the operator; series coefficients ride along multiplicatively."""
-        ctx = self.ctx
-        gcap = ctx.policy.gcap
-        zlo, zhi = -ctx.zneg, ctx.zpos
-        eadd = ctx.eadd
-        by_deg: dict = {}  # column keys sorted by variable degree, per point
-        out: dict = {}
-        for (eidx, g), inner in s.terms.items():
-            room = gcap - g_deg(g)
-            for (p, z), c in inner.items():
-                keys = by_deg.get(p)
-                if keys is None:
-                    col = self.cols.get(p)
-                    keys = by_deg[p] = () if col is None else _by_degree(col)
-                for d1, e1, g1, inner1 in keys:
-                    if d1 > room:
-                        break
-                    e2 = eadd[e1][eidx]
-                    if e2 is None:
-                        continue
-                    bucket = out.setdefault((e2, g_merge(g1, g)), {})
-                    for (p1, z1), c1 in inner1.items():
-                        ze = z1 + z
-                        if ze < zlo or ze > zhi:
-                            ctx.note_z_clip()
-                            continue
-                        _add_to(bucket, (p1, ze), c1 * c)
-        return HSeries(ctx, HSeries._cleanup(out))
+        return HSeries(self.ctx, HSeries._cleanup(_apply_into({}, self, s, 1, {})))
 
     def compose(self, other: "OperatorSeries") -> "OperatorSeries":
-        return OperatorSeries(
-            self.ctx, {k: self.apply(colk) for k, colk in other.cols.items()}
-        )
+        acc = OperatorSeries(self.ctx, {k: HSeries(self.ctx) for k in other.cols})
+        acc._add_composed(self, other, 1)
+        return acc
 
-    def __add__(self, other):
-        keys = set(self.cols) | set(other.cols)
-        return OperatorSeries(
-            self.ctx, {k: self.col(k) + other.col(k) for k in keys}
-        )
+    def _add_composed(self, left: "OperatorSeries", right: "OperatorSeries", sign: int):
+        """self += sign * left . right in place (self's columns must be its own)."""
+        by_deg: dict = {}
+        for k, col in right.cols.items():
+            tgt = self.cols.get(k)
+            if tgt is None:
+                tgt = self.cols[k] = HSeries(self.ctx)
+            _apply_into(tgt.terms, left, col, sign, by_deg)
+            HSeries._cleanup(tgt.terms)
 
     def __sub__(self, other):
         keys = set(self.cols) | set(other.cols)

@@ -225,6 +225,21 @@ def test_negative_caps_are_policy_errors(flag, value, capsys):
     assert json.loads(err)["error"] == "PolicyMismatch"
 
 
+@pytest.mark.parametrize("argv", [
+    ["noneq", "--fan", "p2", "--section", "1,0;x"],
+    ["check", "--fan", "p2", "--section", "1,0;x"],
+    ["oracle-p2", "--dmax", "0"],
+    ["oracle-p2", "--dmax", "-1"],
+    ["oracle-p2", "--dmax", "1", "--compare"],
+], ids=["noneq-section", "check-section", "dmax-0", "dmax-negative", "compare-dmax-1"])
+def test_bad_arguments_are_policy_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "PolicyMismatch"
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------- process interface
 
 

@@ -189,6 +189,21 @@ def test_corrupted_columns_are_rejected():
         engine.birkhoff_factorize(ctx, bad)
 
 
+@pytest.mark.parametrize("fan_dict", [P1, C2], ids=["p1", "c2"])
+def test_columns_without_their_top_order_leave_a_residue(fan_dict):
+    """With dI's top order cut away, products of the lower slices reach an
+    order the caps allow but the loop never solves: the check must see them."""
+    ctx = make_ctx(fan_dict)
+    dI = engine.build_dI(ctx)
+    nmax = max(c.max_order() for c in dI.cols.values())
+    cut = dI.map_cols(lambda s: HSeries(ctx, {
+        key: dict(inner) for key, inner in s.terms.items() if ctx.order(*key) < nmax
+    }))
+    engine.birkhoff_factorize(ctx, cut, check=False)
+    with pytest.raises(FactorizationResidue):
+        engine.birkhoff_factorize(ctx, cut)
+
+
 def test_starved_window_is_accounted():
     ctx = make_ctx(P1, zneg=2)
     engine.compute_mirror_data(ctx, check=False)
@@ -222,6 +237,49 @@ def test_columns_below_kwork_clip_where_pinned():
     assert digest == (
         "1bab1617e73c50d483963c880d51941e558e531428cc1335f1c9a909147d93b4"
     )
+
+
+KP1 = {"name": "kp1", "dim": 2, "rays": [[1, 0], [0, 1], [-1, 2]],
+       "max_cones": [[0, 1], [1, 2]]}
+
+# six lossy windows (z-clips) and the deep loss-free p1 window
+RESIDUAL_WINDOWS = [
+    (P1, dict(zneg=1)), (P1, dict(zneg=2)), (P1, dict(qcap=6, gcap=4)),
+    (P2, dict(zneg=4)), (F1, dict(qcap=1, zneg=3)),
+    (KP1, dict(qcap=2, gcap=1, zneg=3)), (P1, dict(qcap=5, gcap=3, zneg=14)),
+]
+
+
+@pytest.mark.parametrize("fan_dict,caps", RESIDUAL_WINDOWS, ids=[
+    "p1-zneg1", "p1-zneg2", "p1-q6g4", "p2-zneg4", "f1-q1-zneg3", "kp1-zneg3", "p1-deep",
+])
+def test_residual_is_the_cross_term_sum(fan_dict, caps):
+    """M . P - dI equals the sum of M_a . P_b over a, b >= 1, a + b > nmax.
+
+    The full residual is recomposed here from the merged M and P; the
+    factorization's own check computes only the cross terms.
+    """
+    ctx = make_ctx(fan_dict, **caps)
+    dI = engine.build_dI(ctx)
+    M, P = engine.birkhoff_factorize(ctx, dI, check=False)
+    nmax = max(c.max_order() for c in dI.cols.values())
+    Mparts = {n: M.order_part(n) for n in range(nmax + 1)}
+    Pparts = {n: P.order_part(n) for n in range(nmax + 1)}
+    full = M.compose(P) - dI
+    cross = engine._cross_residual(Mparts, Pparts)
+    for k in set(full.cols) | set(cross.cols):
+        assert full.col(k) == cross.col(k)
+    for n in range(nmax + 1):
+        assert full.order_part(n).is_zero()
+    # A one-term spike planted in the top slice.  It sits at order zero: a
+    # spike at the slice's own order would meet the caps in every product
+    # with M_a, a >= 1, and only the full residual would see it.
+    u = ctx.unit_pidx
+    spike = HSeries.phi(ctx, u)
+    Pparts[nmax] = OperatorSeries(ctx, {**Pparts[nmax].cols, u: Pparts[nmax].col(u) + spike})
+    spiked = OperatorSeries(ctx, {**P.cols, u: P.col(u) + spike})
+    assert not (M.compose(spiked) - dI).is_zero()
+    assert not engine._cross_residual(Mparts, Pparts).is_zero()
 
 
 # --------------------------------------------------------------- mirror map

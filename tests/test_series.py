@@ -60,6 +60,33 @@ def test_phi_products():
     assert ctx.phi_mul(top, b1) == series.OVERFLOW
 
 
+F1 = {"name": "f1", "dim": 2, "rays": [[1, 0], [0, 1], [-1, 1], [0, -1]],
+      "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+F3 = {"name": "f3", "dim": 2, "rays": [[1, 0], [0, 1], [-1, 3], [0, -1]],
+      "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+P3 = {"name": "p3", "dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+      "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
+
+
+@pytest.mark.parametrize("fan_dict,caps", [
+    (P2, {}), (F1, {}), (F3, {}), (P3, {"gcap": 1}),
+], ids=["p2", "f1", "f3", "p3"])
+def test_translate_is_the_pairing_cocycle(fan_dict, caps):
+    """translate reads d(k, l) off the stored psi; fans.pairing_d recomputes it."""
+    ctx = make_ctx(fan_dict, **caps)
+    hits = 0
+    for p1, a in enumerate(ctx.points):
+        for p2, b in enumerate(ctx.points):
+            tp = ctx.pindex.get(tuple(x + y for x, y in zip(a.point, b.point)))
+            de = None
+            if tp is not None:
+                de = ctx.eindex.get(fans.pairing_d(ctx.fan, a.point, b.point))
+            want = None if de is None else (tp, de)
+            assert ctx.translate(p1, p2) == want
+            hits += want is not None
+    assert hits > len(ctx.points)
+
+
 # ----------------------------------------------------------- random algebra
 
 
