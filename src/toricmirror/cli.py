@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, help_, **extra):
+    def cmd(name, fn, help_):
         p = sub.add_parser(name, parents=[common], help=help_)
         p.set_defaults(func=fn)
         return p

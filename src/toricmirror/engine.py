@@ -18,8 +18,7 @@ truncated ring of a :class:`~toricmirror.series.Context`:
    computed order by order through the order-zero block.
 4. ``compute_mirror_data``-- the mirror map tau (the z^{-1} coefficient of
    M(phi_0)), Upsilon = P(phi_0), the Seidel classes S_k obtained from the
-   z-free parts of the P columns and the pairing cocycle, and the inverse
-   mirror map.
+   z-free parts of the P columns and the pairing cocycle.
 5. ``quantum_product``    -- the big quantum product, transported through the
    Seidel-class frame: expand both factors in the S_k, multiply the frame
    labels with the cocycle Q^{d(k,l)}, and map back.
@@ -60,8 +59,8 @@ from .series import (
     _key_shift,
     _mul_into,
     compose,
+    exp_series,
     g_deg,
-    invert_map,
     log_series,
 )
 
@@ -359,10 +358,7 @@ class MirrorData:
     P0: OperatorSeries
     tau: HSeries
     upsilon: HSeries
-    V: dict
-    c0: dict
     S: dict
-    inverse_map: dict
 
 
 def compute_mirror_data(ctx: Context, check: bool = True) -> MirrorData:
@@ -391,9 +387,7 @@ def compute_mirror_data(ctx: Context, check: bool = True) -> MirrorData:
             raise TruncationLoss(
                 f"truncation losses {dict(ctx.losses)}; widen the window"
             )
-    targets = {vi: phi_component(tau, gv.pidx) for vi, gv in enumerate(ctx.gvars)}
-    inverse = invert_map(targets)
-    return MirrorData(ctx, I, dI, M, P, P0, tau, upsilon, V, c0, S, inverse)
+    return MirrorData(ctx, I, dI, M, P, P0, tau, upsilon, S)
 
 
 # ------------------------------------------------------------- the w-algebra
@@ -493,26 +487,6 @@ def _route_a(md: MirrorData) -> dict:
     return coeffs
 
 
-def _nilpotent_exp(ctx: Context, ray: int, L: HSeries) -> HSeries:
-    """exp(u_i L / z) expanded through the nilpotency of the ray class."""
-    b = ctx.fan.rays[ray]
-    acc = HSeries.unit(ctx)
-    Lp = HSeries.unit(ctx)
-    t = 1
-    while True:
-        pidx = ctx.pindex.get(tuple(t * x for x in b))
-        if pidx is None:
-            break
-        Lp = Lp * L
-        if Lp.is_zero():
-            break
-        acc = acc + (Lp * HSeries.phi(ctx, pidx)).z_shift(-t).scale(
-            QQ(1, factorial(t))
-        )
-        t += 1
-    return acc
-
-
 def _substituted_series(md: MirrorData, sol: dict) -> HSeries:
     """I with y_k replaced by y_k + sum_n sol[(k, n)] z^n (rays via dressing).
 
@@ -541,33 +515,18 @@ def _substituted_series(md: MirrorData, sol: dict) -> HSeries:
     if not eps and not subs:
         return md.I
 
-    bases = {i: HSeries.unit(ctx) + e for i, e in eps.items()}
-    inverses: dict = {}
-    pow_cache: dict = {}
+    powers = {(i, 1): HSeries.unit(ctx) + e for i, e in eps.items()}
+    logs = {i: log_series(powers[(i, 1)]) for i in eps}
 
-    def int_power(i, m):
-        if (i, m) in pow_cache:
-            return pow_cache[(i, m)]
-        if m >= 0:
-            acc = HSeries.unit(ctx)
-            for _ in range(m):
-                acc = acc * bases[i]
-        else:
-            if i not in inverses:
-                # geometric series 1/(1+e) = sum (-e)^j
-                inv = HSeries.unit(ctx)
-                power = HSeries.unit(ctx)
-                for j in range(1, ctx.policy.qcap + ctx.policy.gcap + 1):
-                    power = power * eps[i]
-                    if power.is_zero():
-                        break
-                    inv = inv + power.scale(QQ((-1) ** j))
-                inverses[i] = inv
-            acc = HSeries.unit(ctx)
-            for _ in range(-m):
-                acc = acc * inverses[i]
-        pow_cache[(i, m)] = acc
-        return acc
+    def power(i, m):
+        """(1 + eps_i)^m, one product away from the power next to it."""
+        if (i, m) not in powers:
+            if m == -1:
+                powers[(i, m)] = exp_series(-logs[i])
+            else:
+                step = 1 if m > 0 else -1
+                powers[(i, m)] = power(i, m - step) * power(i, step)
+        return powers[(i, m)]
 
     total = HSeries.zero(ctx)
     for (eidx, g), inner in md.I.terms.items():
@@ -578,10 +537,11 @@ def _substituted_series(md: MirrorData, sol: dict) -> HSeries:
             ell = ctx.ray_exponents(ctx.eff[eidx], g)
             for i in eps:
                 if ell[i]:
-                    piece = piece * int_power(i, ell[i])
+                    piece = piece * power(i, ell[i])
         total = total + piece
     for i in eps:
-        total = total * _nilpotent_exp(ctx, i, log_series(bases[i]))
+        dressing = (HSeries.phi(ctx, ctx.ray_pidx[i]) * logs[i]).z_shift(-1)
+        total = total * exp_series(dressing)
     return total
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -149,16 +150,8 @@ def _integer_kernel_vector(rows, dim):
         out.append((-1) ** a * minor)
     if all(x == 0 for x in out):
         return None
-    g = 0
-    for x in out:
-        g = _gcd(g, abs(x))
+    g = gcd(*out)
     return tuple(x // g for x in out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _check_fan_gluing(fan: Fan):
@@ -367,9 +360,7 @@ def load_fan(source, require_polarization: bool = True) -> Fan:
     fan = Fan(data.get("name", "fan"), dim, rays, cones, None, splitting)
     _check_fan_gluing(fan)
     _check_support_convex(fan)
-    if require_polarization:
-        fan.polarization = _find_polarization(fan, data.get("polarization"))
-    elif data.get("polarization") is not None:
+    if require_polarization or data.get("polarization") is not None:
         fan.polarization = _find_polarization(fan, data.get("polarization"))
     return fan
 

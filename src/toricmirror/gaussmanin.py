@@ -375,7 +375,7 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
     ctx = md.ctx
     kcoh = ctx.policy.kcoh
     pts = [p for p in range(len(ctx.points)) if ctx.norms[p] <= kcoh]
-    normal = {p: md.S[p].order_part(0) == HSeries.phi(ctx, p) for p in pts}
+    normal = {p: s.order_part(0) == HSeries.phi(ctx, p) for p, s in md.S.items()}
     rows = []
     bad = 0
     for kp in pts:

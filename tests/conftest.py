@@ -35,7 +35,15 @@ F1 = {
     "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]],
 }
 
-FANS = {"p1": P1, "p2": P2, "c2": C2, "f1": F1}
+# Not semipositive: the class of the (-1, 3) curve has c1-degree -1.
+F3 = {
+    "name": "f3",
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, 3], [0, -1]],
+    "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]],
+}
+
+FANS = {"p1": P1, "p2": P2, "c2": C2, "f1": F1, "f3": F3}
 
 
 def make_ctx(fan_dict, kcoh=3, kvar=2, qcap=3, gcap=2, zneg=10, **kw):

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from conftest import F3
 from toricmirror.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -30,6 +31,7 @@ GOLDEN_COMMANDS = [
     (["jacobi", "--fan", "c2"], "jacobi_c2.json"),
     (["noneq", "--fan", "p1"], "noneq_p1.json"),
     (["check", "--fan", "p1"], "check_p1.json"),
+    (["primitive-form", "--fan", "p2"], "primitive_form_p2.json"),
 ]
 
 
@@ -107,6 +109,14 @@ def test_check_controls_follow_the_caps(capsys):
     assert code == 0
     assert len(entries) == 6
     assert all(e["order"]["qcap"] == 1 for e in entries)
+    assert all(e["status"] == "pass" for e in entries)
+
+
+def test_check_passes_on_a_fan_that_is_not_semipositive(capsys):
+    f3 = json.dumps(F3)
+    code, out, _ = run_cli(["check", "--fan", f3, "--qcap", "1", "--gcap", "1"], capsys)
+    entries = json.loads(out)
+    assert code == 0
     assert all(e["status"] == "pass" for e in entries)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import F3
 from toricmirror import fans, series
 from toricmirror.errors import PolicyMismatch, SingularJacobian
 from toricmirror.linalg import QQ, canon
@@ -61,8 +62,6 @@ def test_phi_products():
 
 
 F1 = {"name": "f1", "dim": 2, "rays": [[1, 0], [0, 1], [-1, 1], [0, -1]],
-      "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
-F3 = {"name": "f3", "dim": 2, "rays": [[1, 0], [0, 1], [-1, 3], [0, -1]],
       "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
 P3 = {"name": "p3", "dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
       "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}

@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from conftest import C2, F1, FANS, P1, P2, make_ctx
+import conftest
+from conftest import C2, F1, F3, FANS, P1, P2, make_ctx
 from toricmirror import fans
 from toricmirror.errors import (
     IdentityViolation,
@@ -25,6 +26,7 @@ from toricmirror.errors import (
     OutsideSupport,
     PolicyMismatch,
 )
+from toricmirror.gaussmanin import jacobi_structure_constants
 from toricmirror.series import QQ
 from toricmirror.verify import (
     LinearFraction,
@@ -209,16 +211,49 @@ def test_property_suite_on_the_affine_plane():
     assert sum(e["property"] == "localization" for e in entries) == 6
 
 
+CONTROLS = [
+    "factorization-detects-corruption",
+    "flow-detects-corruption",
+    "transport-detects-corruption",
+    "jacobi-detects-corruption",
+    "linear-relation-detects-corruption",
+    "localization-detects-corruption",
+]
+
+
 def test_negative_controls_all_fire():
     entries = negative_controls(fans.load_fan(dict(P1)))
-    assert [e["control"] for e in entries] == [
-        "factorization-detects-corruption",
-        "flow-detects-corruption",
-        "transport-detects-corruption",
-        "jacobi-detects-corruption",
-        "linear-relation-detects-corruption",
-        "localization-detects-corruption",
-    ]
+    assert [e["control"] for e in entries] == CONTROLS
+    assert all(e["status"] == "pass" for e in entries)
+
+
+# ------------------------------------------ a fan that is not semipositive
+
+# F3 at qcap 1, gcap 1: its mirror map has Novikov-only terms at y = 0, so it
+# is not invertible there, and no stage of the pipeline may need it to be.
+F3_CAPS = {"qcap": 1, "gcap": 1}
+
+
+def test_f3_mirror_data_is_loss_free():
+    md = conftest.mirror(F3, **F3_CAPS)
+    assert dict(md.ctx.losses) == {}
+
+
+def test_f3_jacobi_table_covers_every_target():
+    report = jacobi_structure_constants(conftest.mirror(F3, **F3_CAPS), strict=True)
+    assert report["failures"] == 0
+    assert report["pairs"]
+
+
+def test_property_suite_on_f3():
+    entries = run_property_suite(make_ctx(F3, **F3_CAPS))
+    assert len(entries) == 25
+    assert all(e["status"] == "pass" for e in entries)
+
+
+def test_negative_controls_fire_on_f3():
+    entries = negative_controls(make_ctx(F3, **F3_CAPS))
+    assert [e["control"] for e in entries] == CONTROLS
     assert all(e["status"] == "pass" for e in entries)
 
 
