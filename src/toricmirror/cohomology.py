@@ -13,9 +13,8 @@ elimination, which makes the reduction canonical and idempotent.
 from __future__ import annotations
 
 from .errors import NonCompactFan, TruncationLoss
-from .linalg import QQ, ZERO, PolyDict, canon, poly_add, poly_const, poly_linear, poly_mul, rref
+from .linalg import QQ, ZERO, canon, rref
 from .series import Context, HSeries
-from . import fans
 
 ClassVec = dict  # {point_idx: QQ}
 
@@ -149,14 +148,6 @@ class NoneqBasis:
         return HSeries(s.ctx, out)
 
 
-def noneq_reduce(ctx: Context, target, basis: NoneqBasis | None = None):
-    """Reduce a class vector or an HSeries modulo the equivariant parameters."""
-    nb = basis if basis is not None else NoneqBasis(ctx)
-    if isinstance(target, HSeries):
-        return nb.reduce_series(target)
-    return nb.reduce_class(target)
-
-
 # -------------------------------------------------------------- integration
 
 
@@ -199,54 +190,9 @@ def poincare_integral(ctx: Context, target, basis: NoneqBasis | None = None):
     return integrate_vec(target)
 
 
-# ---------------------------------------------------------------- restriction
-
-
-def restrict_fixed_point(ctx: Context, target, cone) -> PolyDict:
-    """Restrict to the fixed point of a maximal cone.
-
-    phi_k pulls back to prod_i (u_i(x) . lam)^{psi_i(k)}, a polynomial in the
-    equivariant parameters; z-exponents of an HSeries coefficient survive as
-    powers of the last variable.  Multiplicativity is a property test.
-    """
-    weights = fans.fixed_point_weights(ctx.fan, cone)
-    nv = ctx.fan.dim + 1  # lam_1..lam_D, z
-
-    def restrict_point(pidx: int, zexp: int) -> PolyDict:
-        out = poly_const(nv, 1)
-        psi = ctx.points[pidx].psi
-        for i, e in enumerate(psi):
-            if not e:
-                continue
-            lin = poly_linear(nv, list(weights[i]))
-            for _ in range(e):
-                out = poly_mul(out, lin)
-        if zexp:
-            if zexp < 0:
-                raise ValueError("negative z powers are not polynomial here")
-            zmon = tuple(zexp if j == nv - 1 else 0 for j in range(nv))
-            out = poly_mul(out, {zmon: QQ(1)})
-        return out
-
-    if isinstance(target, HSeries):
-        out = {}
-        for key, inner in target.terms.items():
-            acc: PolyDict = {}
-            for (p, z), c in inner.items():
-                acc = poly_add(acc, {e: v * c for e, v in restrict_point(p, z).items()})
-            out[key] = acc
-        return out
-    out: PolyDict = {}
-    for p, c in target.items():
-        out = poly_add(out, {e: v * c for e, v in restrict_point(p, 0).items()})
-    return out
-
-
 __all__ = [
     "phi_product",
     "lambda_class",
     "NoneqBasis",
-    "noneq_reduce",
     "poincare_integral",
-    "restrict_fixed_point",
 ]

@@ -620,49 +620,6 @@ def primitive_form(md: MirrorData, route: str = "both") -> PrimitiveForm:
     return PrimitiveForm(coeffs, sol, tau_b)
 
 
-# ------------------------------------------------------ divisor bookkeeping
-
-
-def restore_divisor_variables(ctx: Context, s: HSeries) -> list[dict]:
-    """Records of a slice series with the per-ray exponents made explicit.
-
-    Each record carries the curve class, the variable monomial, and the ray
-    exponent vector that the gauge slice absorbed; the curve class is
-    recomputed from the exponents as an internal audit.
-    """
-    recs = []
-    for (eidx, g), inner in s.terms.items():
-        ell = ctx.ray_exponents(ctx.eff[eidx], g)
-        back = list(ell)
-        for v, e in g:
-            psi = ctx.points[ctx.gvars[v].pidx].psi
-            for i, p in enumerate(psi):
-                if p:
-                    back[i] += p * e
-        if tuple(back) != ctx.eff[eidx]:
-            raise IdentityViolation("ray exponents do not recompose the class")
-        for r in HSeries(ctx, {(eidx, g): inner}).records():
-            recs.append({**r, "ray_exponents": list(ell)})
-    recs.sort(key=lambda r: (r["d"], r["gexp"], r["k"], r["zexp"]))
-    return recs
-
-
-def from_divisor_records(ctx: Context, records) -> HSeries:
-    """Rebuild a slice series from divisor-explicit records (roundtrip)."""
-    plain = []
-    for r in records:
-        ell = list(r["ray_exponents"])
-        for pt, order, e in r["gexp"]:
-            psi = ctx.points[ctx.pindex[tuple(pt)]].psi
-            for i, p in enumerate(psi):
-                if p:
-                    ell[i] += p * e
-        if list(ell) != list(r["d"]):
-            raise IdentityViolation("record exponents do not recompose the class")
-        plain.append({k: v for k, v in r.items() if k != "ray_exponents"})
-    return HSeries.from_records(ctx, plain)
-
-
 __all__ = [
     "MirrorData",
     "PrimitiveForm",
@@ -674,8 +631,6 @@ __all__ = [
     "quantum_product",
     "primitive_form",
     "phi_component",
-    "restore_divisor_variables",
-    "from_divisor_records",
     "w_multiply",
     "w_exp",
 ]

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     BadPolarization,
     FanError,
@@ -415,11 +413,12 @@ def enumerate_points(fan: Fan, cap: int) -> list[Vec]:
     """All lattice points of the support with norm <= cap, sorted by (norm, lex)."""
     seen: dict[Vec, int] = {}
     for cone in fan.max_cones:
-        gens = np.array([fan.rays[i] for i in cone], dtype=np.int64)
+        gens = [fan.rays[i] for i in cone]
         for total in range(cap + 1):
-            comps = np.array(list(_compositions(total, fan.dim)), dtype=np.int64)
-            for comp, pt in zip(comps, comps @ gens):
-                key = tuple(int(x) for x in pt)
+            for comp in _compositions(total, fan.dim):
+                key = tuple(
+                    sum(c * g[a] for c, g in zip(comp, gens)) for a in range(fan.dim)
+                )
                 if key not in seen:
                     seen[key] = total
     return sorted(seen, key=lambda p: (seen[p], p))

@@ -9,7 +9,9 @@ deformation directions.
 
 `theta_apply` transports module elements to cohomology-valued series through
 the columns of the positive Birkhoff factor, and `check_theta` replays the
-identities that make this transport compatible with the quantum product.
+identities that make this transport compatible with the quantum product: it
+transports the module connection `gm_connection` and compares the image
+with the quantum connection on the same columns.
 `noneq_restrict` descends the whole package along a chosen section of the
 non-equivariant cohomology and certifies the restricted family as a
 universal unfolding.
@@ -31,7 +33,16 @@ from .errors import (
     TruncationLoss,
 )
 from .linalg import QQ, ZERO, canon, mat_inv, rref
-from .series import Context, HSeries, _key_shift, compose, exp_series, invert_map
+from .series import (
+    Context,
+    HSeries,
+    _by_degree,
+    _key_shift,
+    _mul_into,
+    compose,
+    exp_series,
+    invert_map,
+)
 
 # A module element is a map {generator index -> scalar coefficient series}.
 # Coefficients live on the unit class of the cohomology basis but may carry
@@ -204,12 +215,10 @@ def gm_connection(ctx: Context, k, v: GMElement) -> GMElement:
 
 def theta_apply(md: MirrorData, v: GMElement) -> HSeries:
     """Transport a module element through the positive-factor columns."""
-    out = HSeries.zero(md.ctx)
+    out: dict = {}
     for lp in sorted(v):
-        f = v[lp]
-        if not f.is_zero():
-            out = out + f * md.P.col(lp)
-    return out
+        _mul_into(out, v[lp], _by_degree(md.P.col(lp)))
+    return HSeries(md.ctx, HSeries._cleanup(out))
 
 
 def _difference(lhs: HSeries, rhs: HSeries, ycap: int | None, kcap: int) -> HSeries:
@@ -279,18 +288,16 @@ def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) ->
                 fails.append({"k": ctx.points[kp].point, "l": ctx.points[lp].point})
     emit("theta-shift", done, skip, fails)
 
-    # (3) connection intertwining against the quantum product
+    # (3) the transported module connection is the quantum connection
     fails, done, skip = [], 0, 0
     for kp, vidx in actives:
         for lp in cols:
-            hit = ctx.translate(kp, lp)
-            if hit is None:
+            if ctx.translate(kp, lp) is None:
                 skip += 1
                 continue
-            tp, de = hit
             col = md.P.col(lp)
             lhs = col.derive_var(vidx).z_shift(1) + quantum_product(md, md.S[kp], col)
-            rhs = _key_shift(md.P.col(tp), de, (), 0)
+            rhs = theta_apply(md, gm_connection(ctx, kp, gm_element(ctx, lp))).z_shift(1)
             diff = _difference(lhs, rhs, gcap - 1, kcoh)
             done += 1
             if not diff.is_zero():
@@ -306,16 +313,12 @@ def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) ->
     fails, done, skip = [], 0, 0
     for i, rp in rays:
         for lp in cols:
-            hit = ctx.translate(rp, lp)
-            if hit is None:
+            if ctx.translate(rp, lp) is None:
                 skip += 1
                 continue
-            tp, de = hit
             col = md.P.col(lp)
             lhs = col.ray_gauge(i).z_shift(1) + quantum_product(md, md.S[rp], col)
-            rhs = col.z_shift(1).scale(ctx.points[lp].psi[i]) + _key_shift(
-                md.P.col(tp), de, (), 0
-            )
+            rhs = theta_apply(md, gm_connection(ctx, rp, gm_element(ctx, lp))).z_shift(1)
             diff = _difference(lhs, rhs, None, kcoh)
             done += 1
             if not diff.is_zero():

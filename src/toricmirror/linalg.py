@@ -106,53 +106,3 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
         if rank == len(m):
             break
     return m[:rank], pivots
-
-
-# --------------------------------------------------------------------------
-# Small multivariate polynomial kernel: exponent tuple -> rational.
-# Used by the fixed-point restriction (polynomials in the equivariant
-# parameters and the loop variable z).  Variable convention is fixed by the
-# caller; the last slot is reserved for z throughout this package.
-# --------------------------------------------------------------------------
-
-PolyDict = dict  # dict[tuple[int, ...], QQ]
-
-
-def poly_const(nvars: int, c) -> PolyDict:
-    c = QQ(c)
-    return {} if c == 0 else {(0,) * nvars: c}
-
-
-def poly_add(p: PolyDict, q: PolyDict) -> PolyDict:
-    out = dict(p)
-    for e, c in q.items():
-        nc = out.get(e, ZERO) + c
-        if nc == 0:
-            out.pop(e, None)
-        else:
-            out[e] = nc
-    return out
-
-
-def poly_mul(p: PolyDict, q: PolyDict) -> PolyDict:
-    out: PolyDict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            nc = out.get(e, ZERO) + c1 * c2
-            if nc == 0:
-                out.pop(e, None)
-            else:
-                out[e] = nc
-    return out
-
-
-def poly_linear(nvars: int, coeffs: Sequence, const=0) -> PolyDict:
-    """The linear polynomial sum_i coeffs[i] * x_i + const."""
-    out = poly_const(nvars, const)
-    for i, c in enumerate(coeffs):
-        c = QQ(c)
-        if c != 0:
-            e = tuple(1 if j == i else 0 for j in range(nvars))
-            out = poly_add(out, {e: c})
-    return out

@@ -541,15 +541,6 @@ class HSeries:
                 _add_to(tgt, ik, c * e)
         return HSeries(self.ctx, self._cleanup(out))
 
-    def novikov_scale(self, ray: int) -> "HSeries":
-        """The logarithmic Novikov derivative Q_i d/dQ_i (i = ray index)."""
-        out = {}
-        for (eidx, g), inner in self.terms.items():
-            f = self.ctx.eff[eidx][ray]
-            if f:
-                out[(eidx, g)] = {ik: canon(c * f) for ik, c in inner.items()}
-        return HSeries(self.ctx, out)
-
     def ray_gauge(self, ray: int) -> "HSeries":
         """Derivative along the absorbed ray variable on the gauge slice.
 

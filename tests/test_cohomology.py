@@ -7,8 +7,10 @@ Independent oracles used here:
   * Intersection numbers on the Hirzebruch surface (f1) are frozen from the
     divisor relations D1 = D3, D4 = D2 + D3 and the vanishing products
     D1 D3 = D2 D4 = 0, worked out by hand: D2^2 = -1, D3^2 = 0, D4^2 = 1.
-  * Fixed-point restriction is pinned by its defining property (the dual
-    basis relation) and full multiplicativity over all in-window pairs.
+  * The cached Stanley-Reisner product Context.phi_mul is checked against
+    localization: restricted to every torus fixed point as a product of
+    linear forms in the equivariant parameters, it is multiplicative over all
+    in-window pairs.
 """
 
 import itertools
@@ -20,14 +22,14 @@ from conftest import C2, F1, P1, P2, make_ctx
 from toricmirror.cohomology import (
     NoneqBasis,
     lambda_class,
-    noneq_reduce,
     phi_product,
     poincare_integral,
-    restrict_fixed_point,
 )
 from toricmirror.errors import NonCompactFan, TruncationLoss
-from toricmirror.linalg import QQ, poly_mul
+from toricmirror.fans import fixed_point_weights
+from toricmirror.linalg import QQ
 from toricmirror.series import HSeries
+from toricmirror.verify import LinearFraction
 
 
 def h_vector(fan_dict):
@@ -199,54 +201,35 @@ def test_integral_requires_complete_fan():
 
 def test_reduce_series_kills_equivariant_classes():
     ctx = make_ctx(P2)
+    nb = NoneqBasis(ctx)
     lam = lambda_class(ctx, (0, 1)).z_shift(1)
-    assert noneq_reduce(ctx, lam).is_zero()
+    assert nb.reduce_series(lam).is_zero()
     one_ray = HSeries.phi(ctx, ctx.ray_pidx[2])
-    red = noneq_reduce(ctx, one_ray)
+    red = nb.reduce_series(one_ray)
     recs = red.records()
     assert len(recs) == 1
     assert tuple(recs[0]["k"]) == (1, 0)  # all three lines reduce to the same rep
     assert (recs[0]["num"], recs[0]["den"]) == (1, 1)
 
 
-@pytest.mark.parametrize("fan_dict", [P1, P2, C2], ids=["p1", "p2", "c2"])
-def test_restriction_defining_property(fan_dict):
-    fan_kw = {"qcap": 0, "gcap": 3} if fan_dict is C2 else {}
-    ctx = make_ctx(fan_dict, **fan_kw)
-    dim = ctx.fan.dim
-    for cone in ctx.fan.max_cones:
-        for c in range(dim):
-            vec = {
-                ctx.ray_pidx[i]: QQ(ray[c])
-                for i, ray in enumerate(ctx.fan.rays)
-                if ray[c] != 0
-            }
-            out = restrict_fixed_point(ctx, vec, cone)
-            unit = tuple(1 if j == c else 0 for j in range(dim + 1))
-            assert out == {unit: QQ(1)}
-
-
 @pytest.mark.parametrize("fan_dict", [P1, P2, F1], ids=["p1", "p2", "f1"])
 def test_restriction_multiplicative(fan_dict):
+    # phi_k restricts to prod_i (u_i(x) . lam)^{psi_i(k)}; an off-cone ray has
+    # the zero form, so a class not supported on the cone restricts to 0
     ctx = make_ctx(fan_dict, kcoh=2)
     for cone in ctx.fan.max_cones:
-        cached = {
-            p: restrict_fixed_point(ctx, {p: QQ(1)}, cone)
-            for p in range(len(ctx.points))
-        }
+        weights = fixed_point_weights(ctx.fan, cone)
+        restricted = []
+        for pd in ctx.points:
+            form = LinearFraction.one()
+            for w, e in zip(weights, pd.psi):
+                form = form.times_form(w + (0,), e)
+            restricted.append(form)
         for a in range(len(ctx.points)):
             for b in range(len(ctx.points)):
                 if ctx.norms[a] + ctx.norms[b] > ctx.kwork:
                     continue
                 prod = ctx.phi_mul(a, b)
-                lhs = poly_mul(cached[a], cached[b])
-                rhs = {} if prod in (None, -1) else cached[prod]
+                lhs = restricted[a] * restricted[b]
+                rhs = LinearFraction.zero() if prod in (None, -1) else restricted[prod]
                 assert lhs == rhs
-
-
-def test_restriction_of_series_carries_z():
-    ctx = make_ctx(P1)
-    s = HSeries.phi(ctx, ctx.ray_pidx[0]).z_shift(3)
-    out = restrict_fixed_point(ctx, s, (0,))
-    key = next(iter(out))
-    assert out[key] == {(1, 3): QQ(1)}

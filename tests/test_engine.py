@@ -594,14 +594,6 @@ def test_route_b_needs_all_variables():
 # ----------------------------------------------------------- record plumbing
 
 
-def test_divisor_record_roundtrip():
-    md = mirror(P1)
-    ctx = md.ctx
-    recs = engine.restore_divisor_variables(ctx, md.I)
-    back = engine.from_divisor_records(ctx, recs)
-    assert back == md.I
-
-
 def test_determinism():
     ctx1 = make_ctx(P1)
     ctx2 = make_ctx(P1)

@@ -26,7 +26,7 @@ import pytest
 
 import conftest
 from conftest import C2, F1, P1, P2, make_ctx
-from toricmirror import engine
+from toricmirror import engine, gaussmanin
 from toricmirror.errors import (
     PropertyViolation,
     SectionNotALift,
@@ -276,6 +276,43 @@ def test_check_theta_flags_perturbed_column():
         check_theta(md)
     report = check_theta(md, strict=False)
     assert any(e["status"] == "fail" for e in report)
+
+
+def _without_psi(real):
+    def connection(ctx, k, v):
+        out = real(ctx, k, v)
+        if k not in ctx.ray_pidx:
+            return out
+        i = ctx.ray_pidx.index(k)
+        return gm_add(out, {lp: f.scale(-ctx.points[lp].psi[i]) for lp, f in v.items()})
+
+    return connection
+
+
+def _without_pole(real):
+    def connection(ctx, k, v):
+        pole = gm_multiply(ctx, k, v, strict=False)
+        return gm_add(real(ctx, k, v), {tp: s.z_shift(-1).scale(-1) for tp, s in pole.items()})
+
+    return connection
+
+
+@pytest.mark.parametrize("fan_dict", [P1, P2], ids=["p1", "p2"])
+@pytest.mark.parametrize(
+    "fault,failing",
+    [
+        (_without_psi, {"theta-connection-ray"}),
+        (_without_pole, {"theta-connection-active", "theta-connection-ray"}),
+    ],
+    ids=["psi", "pole"],
+)
+def test_check_theta_flags_planted_connection_fault(monkeypatch, fan_dict, fault, failing):
+    # check_theta reads its connection right side from gm_connection, so a
+    # fault planted there must surface in the connection entries
+    md = mirror(fan_dict)
+    monkeypatch.setattr(gaussmanin, "gm_connection", fault(gaussmanin.gm_connection))
+    report = check_theta(md, strict=False)
+    assert {e["property"] for e in report if e["status"] == "fail"} == failing
 
 
 def test_check_theta_flags_wrong_weight():

@@ -320,8 +320,6 @@ def test_degree_overflow_at_the_budget_edge(nvars, counted):
 def test_novikov_derivations():
     ctx = make_ctx()
     q = series.HSeries.novikov(ctx, 1)  # the degree-(1,1) class on the line fan
-    assert q.novikov_scale(0) == q
-    assert q.novikov_scale(1) == q
     y0 = series.HSeries.variable(ctx, ctx.var((0,)))
     prod = q * y0
     # gauge derivative: d_0 - psi_0(j) g_j; the origin variable has psi = 0
