@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 from .errors import (
@@ -28,10 +28,15 @@ from .errors import (
     NoStrictlyConvexSupportFunction,
     OutsideSupport,
     PolarizationUnbounded,
+    PolicyMismatch,
 )
 from .linalg import det_int, mat_inv
 
 Vec = tuple[int, ...]
+
+# enumerate_effective scans a box whose size is exponential in the Picard
+# rank; past this many points it refuses instead of running for minutes
+MAX_EFFECTIVE_BOX = 10**6
 
 
 @dataclass(frozen=True)
@@ -115,19 +120,15 @@ def _check_unimodular(rays, cones, dim):
             raise NonUnimodularCone(f"cone {cone} has determinant {det}")
 
 
-def _extreme_rays_of_intersection(fan_rows_i, fan_rows_j, dim):
-    """Extreme rays of {x : A x >= 0, B x >= 0} for simplicial A, B (small dim)."""
-    rows = fan_rows_i + fan_rows_j
+def _extreme_rays(rows, dim):
+    """Primitive extreme rays of the cone {x : r . x >= 0 for r in rows}.
+
+    Each is cut out by dim-1 independent rows: it is their integer kernel
+    vector, with the sign that satisfies every row.  The rows must span Q^dim,
+    so that the cone is pointed and these rays generate it.
+    """
     found = []
-    if dim == 1:
-        # half-lines: a common direction survives iff all rows share a sign
-        for sign in (1, -1):
-            if all(r[0] * sign >= 0 for r in rows):
-                found.append((sign,))
-        return found
-    for subset in itertools.combinations(range(len(rows)), dim - 1):
-        sub = [rows[s] for s in subset]
-        # integer kernel vector of the (dim-1) x dim system
+    for sub in itertools.combinations(rows, dim - 1):
         kern = _integer_kernel_vector(sub, dim)
         if kern is None:
             continue
@@ -155,11 +156,9 @@ def _integer_kernel_vector(rows, dim):
 def _check_fan_gluing(fan: Fan):
     """Pairwise cone intersections must be spanned by the shared rays."""
     for ci, cj in itertools.combinations(fan.max_cones, 2):
-        rows_i = [fan.duals[ci][i] for i in ci]
-        rows_j = [fan.duals[cj][j] for j in cj]
+        rows = [fan.duals[ci][i] for i in ci] + [fan.duals[cj][j] for j in cj]
         shared = sorted(set(ci) & set(cj))
-        ext = _extreme_rays_of_intersection(rows_i, rows_j, fan.dim)
-        for ray in ext:
+        for ray in _extreme_rays(rows, fan.dim):
             if not any(_is_positive_multiple(ray, fan.rays[t]) for t in shared):
                 raise FanError(
                     f"cones {ci} and {cj} intersect outside their common face"
@@ -216,44 +215,31 @@ def _is_complete(fan: Fan) -> bool:
 def find_positive_form(classes) -> Vec | None:
     """An integer vector t with t . g >= 1 for every g in classes, or None.
 
-    Candidates are proposed cheaply (all-ones, then a float LP, then a small
-    box search) but only exact integer verification accepts one.
+    The classes must span their space Q^n.  Then the cone of forms
+    {t : t . g >= 0 for all g} is pointed, and t is the sum of its extreme
+    rays.  That sum is interior exactly when the cone is full-dimensional, and
+    by Gordan's alternative the cone is full-dimensional exactly when some t is
+    positive on every class; so an integer t . g is then >= 1, and None proves
+    that no such t exists.
     """
     classes = [tuple(g) for g in classes]
     if not classes:
         return None
-    m = len(classes[0])
-
-    def ok(t):
-        return all(sum(a * b for a, b in zip(t, g)) >= 1 for g in classes)
-
-    ones = (1,) * m
-    if ok(ones):
-        return ones
-
-    try:
-        from scipy.optimize import linprog
-
-        res = linprog(
-            c=[1.0] * m,
-            A_ub=[[-float(x) for x in g] for g in classes],
-            b_ub=[-1.0] * len(classes),
-            bounds=[(None, None)] * m,
-            method="highs",
-        )
-        if res.status == 0:
-            for scale in (1, 2, 3, 6, 12):
-                cand = tuple(round(x * scale) for x in res.x)
-                if ok(cand):
-                    return cand
-    except Exception:
-        pass
-
-    for radius in range(1, 5):
-        for cand in itertools.product(range(-radius, radius + 1), repeat=m):
-            if ok(cand):
-                return cand
+    n = len(classes[0])
+    rays = _extreme_rays(classes, n)
+    t = tuple(sum(r[a] for r in rays) for a in range(n))
+    if all(sum(a * b for a, b in zip(t, g)) >= 1 for g in classes):
+        return t
     return None
+
+
+def _wall_class(fan: Fan, cone, j) -> Vec:
+    """The class d(I, j) = e_j - sum_{i in I} (u_i . b_j) e_i of ray j off cone I."""
+    d = [0] * fan.n_rays
+    d[j] = 1
+    for i, c in fan.cone_coords(cone, fan.rays[j]).items():
+        d[i] -= c
+    return tuple(d)
 
 
 def wall_classes(fan: Fan) -> list[Vec]:
@@ -263,22 +249,12 @@ def wall_classes(fan: Fan) -> list[Vec]:
     the projection d -> (d_j)_{j not in I} is a lattice isomorphism onto
     Z^{m-D}, so the semigroup C_I cap kernel is free on exactly these classes.
     """
-    out = []
-    seen = set()
-    for cone in fan.max_cones:
-        for j in range(fan.n_rays):
-            if j in cone:
-                continue
-            coords = fan.cone_coords(cone, fan.rays[j])
-            d = [0] * fan.n_rays
-            d[j] = 1
-            for i, c in coords.items():
-                d[i] -= c
-            t = tuple(d)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    return sorted(out)
+    return sorted({
+        _wall_class(fan, cone, j)
+        for cone in fan.max_cones
+        for j in range(fan.n_rays)
+        if j not in cone
+    })
 
 
 def _find_polarization(fan: Fan, user: Vec | None) -> Vec:
@@ -291,15 +267,20 @@ def _find_polarization(fan: Fan, user: Vec | None) -> Vec:
                 f"polarization {user} is not >= 1 on wall class {bad[0]}"
             )
         return user
-    if not walls:
-        # kernel lattice is trivial (affine space); any form will do
+    if all(sum(g) >= 1 for g in walls):  # also when there are none
         return (1,) * fan.n_rays
-    cand = find_positive_form(walls)
-    if cand is None:
+    # a kernel class is determined by its coordinates off the splitting cone,
+    # where that cone's own walls are the unit vectors, so the rows span
+    free = [j for j in range(fan.n_rays) if j not in fan.splitting_cone]
+    form = find_positive_form([tuple(g[j] for j in free) for g in walls])
+    if form is None:
         raise NoStrictlyConvexSupportFunction(
             "no strictly convex support function exists for this fan"
         )
-    return cand
+    t = [0] * fan.n_rays
+    for j, x in zip(free, form):
+        t[j] = x
+    return tuple(t)
 
 
 # --------------------------------------------------------------------- loading
@@ -452,14 +433,13 @@ def enumerate_effective(fan: Fan, cap: int) -> list[Vec]:
     # the kernel lattice is parametrized by the coordinates outside the
     # splitting cone (unimodularity), so scan those and solve for the rest
     free = [j for j in range(m) if j not in fan.splitting_cone]
-    basis = {}
-    for j in free:
-        coords = fan.cone_coords(fan.splitting_cone, fan.rays[j])
-        d = [0] * m
-        d[j] = 1
-        for i, c in coords.items():
-            d[i] -= c
-        basis[j] = tuple(d)
+    size = prod(2 * bounds[j] + 1 for j in free)
+    if size > MAX_EFFECTIVE_BOX:
+        raise PolicyMismatch(
+            f"effective classes of degree <= {cap} on {fan.name!r} need a box "
+            f"scan of {size} points, over the limit of {MAX_EFFECTIVE_BOX}"
+        )
+    basis = {j: _wall_class(fan, fan.splitting_cone, j) for j in free}
     out = []
     for combo in itertools.product(
         *[range(-bounds[j], bounds[j] + 1) for j in free]

@@ -63,22 +63,17 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 
 
 def mat_inv(rows: Sequence[Sequence]) -> list[list]:
-    """Inverse of a square matrix over Q.  Raises ZeroDivisionError if singular."""
+    """Inverse of a square matrix over Q.  Raises ZeroDivisionError if singular.
+
+    A^-1 is the right half of rref([A | I]), whose pivots are the first n
+    columns exactly when A is invertible.
+    """
     n = len(rows)
-    aug = [[QQ(x) for x in row] + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = ONE / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in red]
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:

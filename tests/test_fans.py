@@ -9,6 +9,10 @@ independent.  Expected values frozen below were produced by these oracles.
 from __future__ import annotations
 
 import itertools
+import json
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from toricmirror.errors import (
     NonConvexSupport,
     NonUnimodularCone,
     OutsideSupport,
+    PolicyMismatch,
 )
 
 P1 = {"name": "p1", "dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
@@ -39,6 +44,25 @@ F1 = {
 }
 
 ALL = [P1, P2, C2, F1]
+
+
+def hirzebruch(a):
+    return {"name": f"F{a}", "dim": 2, "rays": [[1, 0], [0, 1], [-1, a], [0, -1]],
+            "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+
+
+def a_n(n):
+    """The A_n resolution of C^2/Z_{n+1}; K_P1 is A_1."""
+    return {"name": f"A{n}", "dim": 2, "rays": [[1, 0]] + [[-i, i + 1] for i in range(n + 1)],
+            "max_cones": [[i, i + 1] for i in range(n + 1)]}
+
+
+P3 = {"name": "p3", "dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+      "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
+KP2 = {"name": "kp2", "dim": 3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [-1, -1, 1]],
+       "max_cones": [[0, 1, 2], [0, 2, 3], [0, 1, 3]]}
+# fans on which the all-ones form fails some wall class
+OFF_ONES = [hirzebruch(2), hirzebruch(3), a_n(1), a_n(2), KP2]
 
 
 # ------------------------------------------------------------------ oracles
@@ -296,6 +320,58 @@ def test_certificate_search_infeasible():
     # internal certificate finder: opposite wall classes admit no positive form
     assert fans.find_positive_form([( 1, -1), (-1, 1)]) is None
     assert fans.find_positive_form([(1, 0), (0, 1)]) is not None
+
+
+def test_positive_form_is_the_sum_of_extreme_rays():
+    # forms >= 0 on both classes: the cone spanned by (0, 1) and (1, 5)
+    assert fans.find_positive_form([(1, 0), (-5, 1)]) == (1, 6)
+    # (1, 0) + (0, 1) + (-1, -1) = 0: no form is positive on all three
+    assert fans.find_positive_form([(1, 0), (0, 1), (-1, -1)]) is None
+
+
+@pytest.mark.parametrize("fd,degrees", [
+    (hirzebruch(2), [1, 1, 3]),
+    (hirzebruch(3), [1, 1, 4]),
+    (a_n(1), [1]),
+    (a_n(2), [1, 1, 3, 3]),
+    (a_n(3), [1, 1, 3, 3, 1, 3, 6, 3, 6]),
+    (KP2, [1]),
+], ids=["F2", "F3", "kp1", "A2", "A3", "kp2"])
+def test_wall_degrees_off_the_all_ones_form(fd, degrees):
+    f = fans.load_fan(fd)
+    assert [f.degree(w) for w in fans.wall_classes(f)] == degrees
+    if fd["name"] in ("F2", "F3"):
+        assert f.polarization == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("fd", [P1, P2, C2, F1, P3], ids=["p1", "p2", "c2", "f1", "p3"])
+def test_all_ones_polarization_kept(fd):
+    f = fans.load_fan(fd)
+    assert f.polarization == (1,) * len(fd["rays"])
+
+
+def test_fan_layer_imports_no_float_library():
+    code = (
+        "import json, sys\n"
+        "from toricmirror.fans import load_fan\n"
+        "for fd in json.loads(sys.argv[1]):\n"
+        "    load_fan(fd)\n"
+        "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(OFF_ONES)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_effective_box_past_the_limit_refuses():
+    f = fans.load_fan(a_n(5))
+    start = time.perf_counter()
+    with pytest.raises(PolicyMismatch, match="27556675 points"):
+        fans.enumerate_effective(f, 3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_duplicate_rays_rejected():
