@@ -12,6 +12,7 @@ elimination, which makes the reduction canonical and idempotent.
 
 from __future__ import annotations
 
+from .engine import phi_component
 from .errors import NonCompactFan, TruncationLoss
 from .linalg import QQ, ZERO, canon, rref
 from .series import Context, HSeries
@@ -166,28 +167,10 @@ def poincare_integral(ctx: Context, target, basis: NoneqBasis | None = None):
     if len(reps) != 1:
         raise NonCompactFan("top reduced cohomology is not one-dimensional")
     top_rep = reps[0]
-
-    def integrate_vec(vec: ClassVec):
-        red = nb.reduce_class(
-            {p: c for p, c in vec.items() if ctx.norms[p] <= top}
-        )
-        return red.get(top_rep, ZERO)
-
     if isinstance(target, HSeries):
-        out: dict = {}
-        for key, inner in target.terms.items():
-            by_z: dict[int, ClassVec] = {}
-            for (p, z), c in inner.items():
-                by_z.setdefault(z, {})[p] = c
-            new_inner = {}
-            for z, vec in by_z.items():
-                val = integrate_vec(vec)
-                if val != 0:
-                    new_inner[(ctx.unit_pidx, z)] = canon(val)
-            if new_inner:
-                out[key] = new_inner
-        return HSeries(ctx, out)
-    return integrate_vec(target)
+        return phi_component(nb.reduce_series(target.degree_cap(top)), top_rep)
+    red = nb.reduce_class({p: c for p, c in target.items() if ctx.norms[p] <= top})
+    return red.get(top_rep, ZERO)
 
 
 __all__ = [

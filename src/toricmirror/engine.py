@@ -21,7 +21,8 @@ truncated ring of a :class:`~toricmirror.series.Context`:
    z-free parts of the P columns and the pairing cocycle.
 5. ``quantum_product``    -- the big quantum product, transported through the
    Seidel-class frame: expand both factors in the S_k, multiply the frame
-   labels with the cocycle Q^{d(k,l)}, and map back.
+   labels with the cocycle Q^{d(k,l)}, and map back.  The labels form the
+   shift module of ``gaussmanin``, whose operations live here once.
 6. ``primitive_form``     -- the volume-form normalization, solved either as
    a z-polynomial coefficient vector against the P columns (route "a") or as
    a z-dependent reparametrization of the deformation variables that kills
@@ -311,16 +312,11 @@ def _frame_coordinates(frame: dict, target: HSeries) -> tuple[dict, HSeries]:
 
 def _seidel_family(ctx: Context, V: dict, c0: dict) -> dict:
     """S_k = sum_l c0_l Q^{d(k,l)} V_{k+l} for every basis point k."""
-    right = {t: _by_degree(v) for t, v in V.items()}
-    S = {}
-    for k in range(len(ctx.points)):
-        out: dict = {}
-        for l, cl in c0.items():
-            hit = ctx.translate(k, l)
-            if hit is not None:
-                _mul_into(out, _key_shift(cl, hit[1], (), 0), right[hit[0]])
-        S[k] = HSeries(ctx, HSeries._cleanup(out))
-    return S
+    cache: dict = {}
+    return {
+        k: w_transport(ctx, w_shift(ctx, k, c0), V, cache)
+        for k in range(len(ctx.points))
+    }
 
 
 def _check_flow_identities(ctx: Context, tau: HSeries, S: dict):
@@ -392,24 +388,55 @@ def compute_mirror_data(ctx: Context, check: bool = True) -> MirrorData:
 
 # ------------------------------------------------------------- the w-algebra
 
+# The shift module: free over scalar series, one generator w^k per basis
+# point, w^k . w^l = Q^{d(k,l)} w^{k+l}; an element is {point index -> scalar
+# series}.  The cocycle (w_shift), the product and the transport through a
+# column family are written here once; gaussmanin's module calls them.
 
-def w_multiply(ctx: Context, A: dict, B: dict) -> dict:
-    """Product of frame-label vectors with the cocycle Q^{d(k,l)}.
 
-    A and B map basis-point indices to scalar series; the product of the
-    labels k and l lands on k+l and picks up the Novikov factor of the
-    pairing class.
+def _add_into(out: dict, pidx: int, s: HSeries) -> None:
+    """out[pidx] += s, skipping a zero s."""
+    if s.is_zero():
+        return
+    cur = out.get(pidx)
+    out[pidx] = s if cur is None else cur + s
+
+
+def w_shift(ctx: Context, k: int, v: dict, strict: bool = False) -> dict:
+    """w^k . v: each f w^l goes to Q^{d(k,l)} f w^{k+l}.
+
+    A translation that leaves the stored window is dropped (the truncation
+    quotient), or raises TruncationLoss when ``strict``.
     """
     out: dict = {}
+    for lp in sorted(v):
+        f = v[lp]
+        if f.is_zero():
+            continue
+        hit = ctx.translate(k, lp)
+        if hit is None:
+            if strict:
+                raise TruncationLoss(
+                    f"translation by {ctx.points[k].point} moves the "
+                    f"generator at {ctx.points[lp].point} beyond the window"
+                )
+            continue
+        tp, de = hit
+        _add_into(out, tp, _key_shift(f, de, (), 0))
+    return out
+
+
+def w_multiply(ctx: Context, A: dict, B: dict) -> dict:
+    """Product of frame-label vectors: sum_k A_k (w^k . B).
+
+    Shifting B first skips the products whose translation leaves the window.
+    """
+    terms: dict = {}
     for k, fk in A.items():
-        for l, fl in B.items():
-            hit = ctx.translate(k, l)
-            if hit is None:
-                continue
-            tp, de = hit
-            term = _key_shift(fk * fl, de, (), 0)
-            out[tp] = out.get(tp, HSeries.zero(ctx)) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        for t, s in w_shift(ctx, k, B).items():
+            _mul_into(terms.setdefault(t, {}), fk, _by_degree(s))
+    out = {t: HSeries(ctx, HSeries._cleanup(d)) for t, d in terms.items()}
+    return {t: s for t, s in out.items() if not s.is_zero()}
 
 
 def w_exp(ctx: Context, A: dict) -> dict:
@@ -428,6 +455,23 @@ def w_exp(ctx: Context, A: dict) -> dict:
             term = s.scale(QQ(1, factorial(n)))
             acc[k] = acc.get(k, HSeries.zero(ctx)) + term
     return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def w_transport(ctx: Context, v: dict, cols: dict, by_deg: dict | None = None) -> HSeries:
+    """sum_t v_t cols[t]: a vector of labels mapped through a column family.
+
+    ``by_deg`` caches the columns as ``_by_degree`` lists (as in
+    ``series._apply_into``); share one dict over calls on the same columns.
+    """
+    if by_deg is None:
+        by_deg = {}
+    out: dict = {}
+    for t in sorted(v):
+        right = by_deg.get(t)
+        if right is None:
+            right = by_deg[t] = _by_degree(cols[t])
+        _mul_into(out, v[t], right)
+    return HSeries(ctx, HSeries._cleanup(out))
 
 
 # --------------------------------------------------------- quantum products
@@ -457,10 +501,7 @@ def quantum_product(md: MirrorData, a, b) -> HSeries:
         b = HSeries.phi(ctx, b)
     ca = seidel_coordinates(md, a)
     cb = seidel_coordinates(md, b)
-    out: dict = {}
-    for k, fk in w_multiply(ctx, ca, cb).items():
-        _mul_into(out, fk, _by_degree(md.S[k]))
-    return HSeries(ctx, HSeries._cleanup(out))
+    return w_transport(ctx, w_multiply(ctx, ca, cb), md.S)
 
 
 # ------------------------------------------------------------ primitive form
@@ -631,6 +672,8 @@ __all__ = [
     "quantum_product",
     "primitive_form",
     "phi_component",
+    "w_shift",
     "w_multiply",
     "w_exp",
+    "w_transport",
 ]

@@ -7,6 +7,10 @@ parameters act componentwise through a lambda-action; and differentiating
 the superpotential gives a connection that is flat along the stored
 deformation directions.
 
+The module is the w-algebra of `engine`: its shift, product and transport
+are `engine.w_shift`, `engine.w_multiply` and `engine.w_transport`, which
+`gm_multiply`, `gm_lambda_action` and `theta_apply` call.
+
 `theta_apply` transports module elements to cohomology-valued series through
 the columns of the positive Birkhoff factor, and `check_theta` replays the
 identities that make this transport compatible with the quantum product: it
@@ -23,22 +27,26 @@ import json
 from dataclasses import dataclass, field
 
 from .cohomology import NoneqBasis, lambda_class
-from .engine import MirrorData, quantum_product
+from .engine import (
+    MirrorData,
+    _add_into,
+    quantum_product,
+    w_multiply,
+    w_shift,
+    w_transport,
+)
 from .errors import (
     PolicyMismatch,
     PropertyViolation,
     RankDeficientUnfolding,
     SectionNotALift,
     SingularJacobian,
-    TruncationLoss,
 )
 from .linalg import QQ, ZERO, canon, mat_inv, rref
 from .series import (
     Context,
     HSeries,
-    _by_degree,
     _key_shift,
-    _mul_into,
     compose,
     exp_series,
     invert_map,
@@ -66,13 +74,6 @@ def _as_pidx(ctx: Context, k) -> int:
     return pidx
 
 
-def _add_into(out: GMElement, pidx: int, s: HSeries) -> None:
-    if s.is_zero():
-        return
-    cur = out.get(pidx)
-    out[pidx] = s if cur is None else cur + s
-
-
 def gm_element(ctx: Context, k, coeff: HSeries | None = None) -> GMElement:
     """The element coeff * w^k (coeff defaults to 1)."""
     pidx = _as_pidx(ctx, k)
@@ -89,7 +90,8 @@ def gm_add(a: GMElement, b: GMElement) -> GMElement:
 def gm_scale(v: GMElement, c) -> GMElement:
     """Scale by a rational number or multiply by a scalar series."""
     if isinstance(c, HSeries):
-        return {p: s * c for p, s in v.items() if not (s * c).is_zero()}
+        prods = {p: s * c for p, s in v.items()}
+        return {p: s for p, s in prods.items() if not s.is_zero()}
     return {p: s.scale(c) for p, s in v.items()}
 
 
@@ -118,22 +120,23 @@ def gm_multiply(ctx: Context, k, v: GMElement, strict: bool = True) -> GMElement
     raises TruncationLoss; otherwise such terms are dropped, which is the
     quotient semantics used by the internal identity checks.
     """
-    kp = _as_pidx(ctx, k)
+    return w_shift(ctx, _as_pidx(ctx, k), v, strict)
+
+
+def lambda_element(ctx: Context, i: int) -> GMElement:
+    """lambda_i as a module element: sum_j (b_j)_i w^{b_j} + sum_k k_i y_k w^k.
+
+    j runs over the rays, whose deformation coordinate is 1 on the slice,
+    and k over the active deformation points.
+    """
+    if not 0 <= i < ctx.fan.dim:
+        raise PolicyMismatch(f"no equivariant direction {i}")
     out: GMElement = {}
-    for lp in sorted(v):
-        f = v[lp]
-        if f.is_zero():
-            continue
-        hit = ctx.translate(kp, lp)
-        if hit is None:
-            if strict:
-                raise TruncationLoss(
-                    f"translation by {ctx.points[kp].point} moves the "
-                    f"generator at {ctx.points[lp].point} beyond the window"
-                )
-            continue
-        tp, de = hit
-        _add_into(out, tp, _key_shift(f, de, (), 0))
+    for j, rp in enumerate(ctx.ray_pidx):
+        _add_into(out, rp, HSeries.phi(ctx, ctx.unit_pidx, coeff=ctx.fan.rays[j][i]))
+    for vidx, gv in enumerate(ctx.gvars):
+        ki = ctx.points[gv.pidx].point[i]
+        _add_into(out, gv.pidx, HSeries.variable(ctx, vidx).scale(ki))
     return out
 
 
@@ -144,38 +147,13 @@ def gm_lambda_action(ctx: Context, i: int, v: GMElement) -> GMElement:
                        + sum_j (b_j)_i Q^{d(b_j,l)} f w^{b_j+l}
                        + sum_k k_i y_k Q^{d(k,l)} f w^{k+l}
     where j runs over rays (whose deformation coordinate is 1 on the slice)
-    and k over the active deformation points.  Out-of-window translations
-    are dropped, matching the ambient truncation quotient.
+    and k over the active deformation points; that is, z l_i f w^l plus the
+    module product of `lambda_element(ctx, i)` with f w^l.  Out-of-window
+    translations are dropped, matching the ambient truncation quotient.
     """
-    if not 0 <= i < ctx.fan.dim:
-        raise PolicyMismatch(f"no equivariant direction {i}")
-    out: GMElement = {}
-    for lp in sorted(v):
-        f = v[lp]
-        if f.is_zero():
-            continue
-        li = ctx.points[lp].point[i]
-        if li:
-            _add_into(out, lp, f.z_shift(1).scale(li))
-        for j, rp in enumerate(ctx.ray_pidx):
-            bji = ctx.fan.rays[j][i]
-            if not bji:
-                continue
-            hit = ctx.translate(rp, lp)
-            if hit is None:
-                continue
-            tp, de = hit
-            _add_into(out, tp, _key_shift(f, de, (), 0).scale(bji))
-        for vidx, gv in enumerate(ctx.gvars):
-            ki = ctx.points[gv.pidx].point[i]
-            if not ki:
-                continue
-            hit = ctx.translate(gv.pidx, lp)
-            if hit is None:
-                continue
-            tp, de = hit
-            _add_into(out, tp, _key_shift(f, de, ((vidx, 1),), 0).scale(ki))
-    return {p: s for p, s in out.items() if not s.is_zero()}
+    lam = lambda_element(ctx, i)
+    diag = {lp: f.z_shift(1).scale(ctx.points[lp].point[i]) for lp, f in v.items()}
+    return gm_add(diag, w_multiply(ctx, lam, v))
 
 
 def gm_connection(ctx: Context, k, v: GMElement) -> GMElement:
@@ -215,10 +193,7 @@ def gm_connection(ctx: Context, k, v: GMElement) -> GMElement:
 
 def theta_apply(md: MirrorData, v: GMElement) -> HSeries:
     """Transport a module element through the positive-factor columns."""
-    out: dict = {}
-    for lp in sorted(v):
-        _mul_into(out, v[lp], _by_degree(md.P.col(lp)))
-    return HSeries(md.ctx, HSeries._cleanup(out))
+    return w_transport(md.ctx, v, md.P.cols)
 
 
 def _difference(lhs: HSeries, rhs: HSeries, ycap: int | None, kcap: int) -> HSeries:
@@ -232,7 +207,7 @@ def _witness(diff: HSeries) -> dict:
     return recs[0] if recs else {}
 
 
-def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) -> list[dict]:
+def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
     """Replay the structural identities of the transport; report per property.
 
     Identities are compared on basis components of degree at most Kcoh (the
@@ -245,8 +220,7 @@ def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) ->
     ctx = md.ctx
     pol = ctx.policy
     kcoh, gcap = pol.kcoh, pol.gcap
-    lcap = kcoh if lmax is None else lmax
-    cols = [p for p in range(len(ctx.points)) if ctx.norms[p] <= lcap]
+    cols = [p for p in range(len(ctx.points)) if ctx.norms[p] <= kcoh]
     actives = [(gv.pidx, vidx) for vidx, gv in enumerate(ctx.gvars)]
     rays = list(enumerate(ctx.ray_pidx))
     report: list[dict] = []
@@ -289,47 +263,37 @@ def check_theta(md: MirrorData, lmax: int | None = None, strict: bool = True) ->
     emit("theta-shift", done, skip, fails)
 
     # (3) the transported module connection is the quantum connection
-    fails, done, skip = [], 0, 0
-    for kp, vidx in actives:
-        for lp in cols:
-            if ctx.translate(kp, lp) is None:
-                skip += 1
-                continue
-            col = md.P.col(lp)
-            lhs = col.derive_var(vidx).z_shift(1) + quantum_product(md, md.S[kp], col)
-            rhs = theta_apply(md, gm_connection(ctx, kp, gm_element(ctx, lp))).z_shift(1)
-            diff = _difference(lhs, rhs, gcap - 1, kcoh)
-            done += 1
-            if not diff.is_zero():
-                fails.append(
-                    {
-                        "k": ctx.points[kp].point,
-                        "l": ctx.points[lp].point,
-                        "diff": _witness(diff),
-                    }
-                )
-    emit("theta-connection-active", done, skip, fails)
+    def connection(name: str, dirs: list, ycap: int | None, label: str):
+        """dirs: (point, horizontal derivative, witness value) per direction."""
+        fails, done, skip = [], 0, 0
+        for kp, derive, where in dirs:
+            for lp in cols:
+                if ctx.translate(kp, lp) is None:
+                    skip += 1
+                    continue
+                col = md.P.col(lp)
+                lhs = derive(col).z_shift(1) + quantum_product(md, md.S[kp], col)
+                rhs = theta_apply(md, gm_connection(ctx, kp, gm_element(ctx, lp))).z_shift(1)
+                diff = _difference(lhs, rhs, ycap, kcoh)
+                done += 1
+                if not diff.is_zero():
+                    fails.append(
+                        {label: where, "l": ctx.points[lp].point, "diff": _witness(diff)}
+                    )
+        emit(name, done, skip, fails)
 
-    fails, done, skip = [], 0, 0
-    for i, rp in rays:
-        for lp in cols:
-            if ctx.translate(rp, lp) is None:
-                skip += 1
-                continue
-            col = md.P.col(lp)
-            lhs = col.ray_gauge(i).z_shift(1) + quantum_product(md, md.S[rp], col)
-            rhs = theta_apply(md, gm_connection(ctx, rp, gm_element(ctx, lp))).z_shift(1)
-            diff = _difference(lhs, rhs, None, kcoh)
-            done += 1
-            if not diff.is_zero():
-                fails.append(
-                    {
-                        "ray": ctx.fan.rays[i],
-                        "l": ctx.points[lp].point,
-                        "diff": _witness(diff),
-                    }
-                )
-    emit("theta-connection-ray", done, skip, fails)
+    connection(
+        "theta-connection-active",
+        [(kp, lambda s, v=vidx: s.derive_var(v), ctx.points[kp].point) for kp, vidx in actives],
+        gcap - 1,
+        "k",
+    )
+    connection(
+        "theta-connection-ray",
+        [(rp, lambda s, i=i: s.ray_gauge(i), ctx.fan.rays[i]) for i, rp in rays],
+        None,
+        "ray",
+    )
 
     # (4) transport intertwines the lambda-action with cup product
     fails, done, skip = [], 0, 0
@@ -438,7 +402,7 @@ class NoneqRestriction:
     generators: list[dict]
     activated: list[tuple[int, int]]       # (generator slot, variable index)
     divisors: list[tuple[int, int]]        # (generator slot, ray index)
-    cmatrix: list[list]
+    cinv: list[list]                       # inverse of the section's class matrix
     base_coords: dict[int, HSeries]
     curve: dict[int, HSeries]
     riders: dict[int, HSeries]
@@ -456,7 +420,6 @@ class NoneqRestriction:
         reps = self.basis.representatives()
         pos = {p: a for a, p in enumerate(reps)}
         n = len(reps)
-        cinv = mat_inv(self.cmatrix)
         coords: dict[int, dict] = {a: {} for a in range(n)}
         for (eidx, g), inner in red.terms.items():
             for z in {zz for (_, zz) in inner}:
@@ -465,7 +428,7 @@ class NoneqRestriction:
                     if zz == z:
                         vec[pos[p]] = QQ(c)
                 for a in range(n):
-                    val = sum((cinv[a][b] * vec[b] for b in range(n)), ZERO)
+                    val = sum((self.cinv[a][b] * vec[b] for b in range(n)), ZERO)
                     if val:
                         coords[a].setdefault((eidx, g), {})[
                             (ctx.unit_pidx, z)
@@ -605,7 +568,7 @@ def noneq_restrict(md: MirrorData, section=None, products: bool = True) -> Noneq
         for p, c in red.items():
             cmatrix[pos[p]][a] = QQ(c)
     try:
-        mat_inv(cmatrix)
+        cinv = mat_inv(cmatrix)
     except ZeroDivisionError:
         raise SectionNotALift("section reductions do not form a basis") from None
 
@@ -635,7 +598,7 @@ def noneq_restrict(md: MirrorData, section=None, products: bool = True) -> Noneq
 
     restriction = NoneqRestriction(
         md=md, basis=nb, section=sec_pts, generators=generators,
-        activated=activated, divisors=divisors, cmatrix=cmatrix,
+        activated=activated, divisors=divisors, cinv=cinv,
         base_coords={}, curve={}, riders={}, tangent_matrix=[],
     )
 
@@ -754,6 +717,7 @@ __all__ = [
     "gm_multiply",
     "gm_scale",
     "jacobi_structure_constants",
+    "lambda_element",
     "noneq_restrict",
     "theta_apply",
 ]

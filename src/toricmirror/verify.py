@@ -19,6 +19,7 @@ from .engine import (
     compute_mirror_data,
     primitive_form,
     quantum_product,
+    w_transport,
 )
 from .errors import (
     IdentityViolation,
@@ -27,7 +28,12 @@ from .errors import (
     PropertyViolation,
     ToricMirrorError,
 )
-from .gaussmanin import check_theta, jacobi_structure_constants, noneq_restrict
+from .gaussmanin import (
+    check_theta,
+    jacobi_structure_constants,
+    lambda_element,
+    noneq_restrict,
+)
 from .series import QQ, Context, HSeries, TruncationPolicy, g_deg, g_merge
 
 __all__ = [
@@ -360,20 +366,11 @@ def _residual_window(md):
 def _linear_relation_failures(md):
     """Directions where sum (chi.b_i) S_i + sum (chi.k) y_k S_k != lambda(chi)."""
     ctx = md.ctx
-    fan = ctx.fan
+    dim = ctx.fan.dim
     bad = []
-    for a in range(fan.dim):
-        acc = HSeries.zero(ctx)
-        for i, rp in enumerate(ctx.ray_pidx):
-            c = fan.rays[i][a]
-            if c:
-                acc = acc + md.S[rp].scale(c)
-        for vi, gv in enumerate(ctx.gvars):
-            c = ctx.points[gv.pidx].point[a]
-            if c:
-                acc = acc + (HSeries.variable(ctx, vi) * md.S[gv.pidx]).scale(c)
-        chi = tuple(1 if b == a else 0 for b in range(fan.dim))
-        if acc != lambda_class(ctx, chi):
+    for a in range(dim):
+        chi = tuple(1 if b == a else 0 for b in range(dim))
+        if w_transport(ctx, lambda_element(ctx, a), md.S) != lambda_class(ctx, chi):
             bad.append(a)
     return bad
 
@@ -551,8 +548,7 @@ def _scalar_coefficient(series, eidx, g):
     return out
 
 
-def wdvv_compare(dmax: int = 3, *, strict: bool = True, section=None,
-                 _oracle=None) -> dict:
+def wdvv_compare(dmax: int = 3, *, strict: bool = True, _oracle=None) -> dict:
     """Extract plane-curve counts from the quantum product and compare.
 
     Runs the engine on the projective plane with caps wide enough to see
@@ -574,8 +570,7 @@ def wdvv_compare(dmax: int = 3, *, strict: bool = True, section=None,
     )
     ctx = Context(fans.load_fan(dict(_P2_FAN)), policy)
     md = compute_mirror_data(ctx)
-    nr = noneq_restrict(md, section=section or [(0, 0), (1, 0), (1, 1)],
-                        products=False)
+    nr = noneq_restrict(md, section=[(0, 0), (1, 0), (1, 1)], products=False)
 
     point = HSeries.phi(ctx, ctx.pindex[(1, 1)])
     line = HSeries.phi(ctx, ctx.pindex[(1, 0)])

@@ -32,6 +32,7 @@ from toricmirror.errors import (
     PolicyMismatch,
     TruncationLoss,
 )
+from toricmirror.gaussmanin import gm_add, gm_multiply
 from toricmirror.linalg import QQ
 from toricmirror.series import HSeries, OperatorSeries, compose, invert_map
 
@@ -589,6 +590,82 @@ def test_route_b_needs_all_variables():
     md = engine.compute_mirror_data(ctx)
     with pytest.raises(PolicyMismatch):
         engine.primitive_form(md, route="b")
+
+
+# ------------------------------------------------------------ the w-algebra
+
+
+def _w_elements(ctx):
+    """p2 w-algebra elements with mixed z powers and variable content.
+
+    a, b and c sit on the unit and the rays (|k| <= 1), d on the point
+    (1, 1); with one Novikov class and gcap 2 no product of three leaves
+    kwork, and the z powers stay far inside the window.
+    """
+    def z(e, c=1):
+        return HSeries.phi(ctx, ctx.unit_pidx, e, c)
+
+    def y(point):
+        return HSeries.variable(ctx, ctx.var(point))
+
+    q = HSeries.novikov(ctx, ctx.eindex[(1, 1, 1)])
+    unit = ctx.unit_pidx
+    r0, r1, r2 = ctx.ray_pidx
+    a = {unit: z(0, 2) + y((-1, 0)) * z(1), r0: z(-1, QQ(1, 3)) + q,
+         r1: y((1, 1)) * z(2, -1)}
+    b = {unit: y((0, 0)) * z(-1), r1: z(0, 5) + q * z(1),
+         r2: y((0, -1)) + z(1, QQ(-2, 7))}
+    c = {r0: y((2, 0)) * z(0, 3), r2: z(-2) + q * y((-2, -2))}
+    d = {ctx.pindex[(1, 1)]: z(1) + y((0, 2))}
+    return a, b, c, d
+
+
+def test_w_multiply_is_unital_and_commutative():
+    ctx = make_ctx(P2)
+    elems = _w_elements(ctx)
+    one = {ctx.unit_pidx: HSeries.unit(ctx)}
+    for v in elems:
+        assert engine.w_multiply(ctx, one, v) == v
+        assert engine.w_multiply(ctx, v, one) == v
+        for u in elems:
+            assert engine.w_multiply(ctx, u, v) == engine.w_multiply(ctx, v, u)
+    # the three rays multiply to Q at the unit
+    r0, r1, r2 = ctx.ray_pidx
+    q = HSeries.novikov(ctx, ctx.eindex[(1, 1, 1)])
+    unit = HSeries.unit(ctx)
+    pair = engine.w_multiply(ctx, {r0: unit}, {r1: unit})
+    assert engine.w_multiply(ctx, pair, {r2: unit}) == {ctx.unit_pidx: q}
+
+
+def test_w_multiply_is_associative_inside_the_window():
+    ctx = make_ctx(P2)
+    a, b, c, _ = _w_elements(ctx)
+    mul = engine.w_multiply
+    left = mul(ctx, mul(ctx, a, b), c)
+    assert left and left == mul(ctx, a, mul(ctx, b, c))
+
+
+def test_w_multiply_by_a_generator_is_the_shift():
+    ctx = make_ctx(P2)
+    unit = HSeries.unit(ctx)
+    for v in _w_elements(ctx):
+        for k in range(len(ctx.points)):
+            want = gm_multiply(ctx, k, v, strict=False)
+            assert engine.w_multiply(ctx, {k: unit}, v) == want
+
+
+def test_w_exp_turns_sums_into_products():
+    ctx = make_ctx(P2)
+    q = HSeries.novikov(ctx, ctx.eindex[(1, 1, 1)])
+    r0, r1, r2 = ctx.ray_pidx
+    y = HSeries.variable
+    A = {r0: y(ctx, ctx.var((-1, 0))).z_shift(-1), r1: q,
+         ctx.unit_pidx: y(ctx, ctx.var((1, 1))).z_shift(1)}
+    B = {r2: y(ctx, ctx.var((0, -1))),
+         ctx.pindex[(1, 1)]: q.z_shift(-1).scale(QQ(1, 2))}
+    exp_a, exp_b = engine.w_exp(ctx, A), engine.w_exp(ctx, B)
+    assert len(exp_a) > len(A) + 1  # powers beyond the linear term
+    assert engine.w_exp(ctx, gm_add(A, B)) == engine.w_multiply(ctx, exp_a, exp_b)
 
 
 # ----------------------------------------------------------- record plumbing

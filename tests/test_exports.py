@@ -33,7 +33,6 @@ def test_all_names_resolve_and_star_import(name):
 UNREFERENCED_EXPORTS = {
     "toricmirror.fans.pairing_d": "the reference for Context.translate",
     "toricmirror.cohomology.phi_product": "the planned Q^0 y^0 product check uses it",
-    "toricmirror.gaussmanin.gm_add": "module arithmetic of the flatness tests",
     "toricmirror.gaussmanin.gm_scale": "module arithmetic of the flatness tests",
     "toricmirror.gaussmanin.gm_equal": "module arithmetic of the flatness tests",
 }
