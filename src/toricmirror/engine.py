@@ -288,10 +288,14 @@ def _frame_coordinates(frame: dict, target: HSeries) -> tuple[dict, HSeries]:
     means the target is not in the span of the frame at these caps.  Lower
     degree terms of frame[p] at order zero are absorbed, not rejected; a
     frame that must be exactly phi_p there is checked by its caller.
+
+    The residual is one terms dict that each -x_p frame[p] is multiplied into
+    in place; each column is sorted by variable degree once per call.
     """
     ctx = target.ctx
     coords: dict = {}
-    resid = target
+    resid = HSeries(ctx, {k: dict(v) for k, v in target.terms.items()})
+    by_deg: dict = {}
     for r in range(ctx.policy.qcap + ctx.policy.gcap + 1):
         rem = resid.order_part(r)
         top = None
@@ -305,7 +309,11 @@ def _frame_coordinates(frame: dict, target: HSeries) -> tuple[dict, HSeries]:
                 if ctx.norms[p] == level:
                     delta = phi_component(rem, p)
                     coords[p] = coords[p] + delta if p in coords else delta
-                    resid = resid - delta * frame[p]
+                    right = by_deg.get(p)
+                    if right is None:
+                        right = by_deg[p] = _by_degree(frame[p])
+                    _mul_into(resid.terms, -delta, right)
+            HSeries._cleanup(resid.terms)
             rem = resid.order_part(r)
     return {p: c for p, c in coords.items() if not c.is_zero()}, resid
 
@@ -427,14 +435,17 @@ def w_shift(ctx: Context, k: int, v: dict, strict: bool = False) -> dict:
 
 
 def w_multiply(ctx: Context, A: dict, B: dict) -> dict:
-    """Product of frame-label vectors: sum_k A_k (w^k . B).
+    """Product of frame-label vectors: sum_l (w^l . A) B_l.
 
-    Shifting B first skips the products whose translation leaves the window.
+    This is sum_k A_k (w^k . B), as d(k, l) = d(l, k) and ``_mul_into`` is
+    symmetric in its operands, loss counts included; shifting A instead
+    sorts each B_l once.  A translation that leaves the window is skipped.
     """
     terms: dict = {}
-    for k, fk in A.items():
-        for t, s in w_shift(ctx, k, B).items():
-            _mul_into(terms.setdefault(t, {}), fk, _by_degree(s))
+    for l, fl in B.items():
+        right = _by_degree(fl)
+        for t, s in w_shift(ctx, l, A).items():
+            _mul_into(terms.setdefault(t, {}), s, right)
     out = {t: HSeries(ctx, HSeries._cleanup(d)) for t, d in terms.items()}
     return {t: s for t, s in out.items() if not s.is_zero()}
 

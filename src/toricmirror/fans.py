@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd, prod
+from math import comb, gcd, prod
 from pathlib import Path
 
 from .errors import (
@@ -37,6 +37,9 @@ Vec = tuple[int, ...]
 # enumerate_effective scans a box whose size is exponential in the Picard
 # rank; past this many points it refuses instead of running for minutes
 MAX_EFFECTIVE_BOX = 10**6
+# find_positive_form tries every (n-1)-subset of the classes; past this many
+# it refuses too (A_5 needs 12650, A_6 376992)
+MAX_FORM_SUBSETS = 10**5
 
 
 @dataclass(frozen=True)
@@ -220,12 +223,19 @@ def find_positive_form(classes) -> Vec | None:
     rays.  That sum is interior exactly when the cone is full-dimensional, and
     by Gordan's alternative the cone is full-dimensional exactly when some t is
     positive on every class; so an integer t . g is then >= 1, and None proves
-    that no such t exists.
+    that no such t exists.  More than MAX_FORM_SUBSETS subsets of n - 1 classes
+    raise PolicyMismatch before any is tried.
     """
     classes = [tuple(g) for g in classes]
     if not classes:
         return None
     n = len(classes[0])
+    count = comb(len(classes), n - 1)
+    if count > MAX_FORM_SUBSETS:
+        raise PolicyMismatch(
+            f"a positive form on {len(classes)} classes of rank {n} needs "
+            f"{count} subsets, over the limit of {MAX_FORM_SUBSETS}"
+        )
     rays = _extreme_rays(classes, n)
     t = tuple(sum(r[a] for r in rays) for a in range(n))
     if all(sum(a * b for a, b in zip(t, g)) >= 1 for g in classes):

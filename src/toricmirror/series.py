@@ -38,7 +38,6 @@ Every stored coefficient is an ``int`` when integral and a ``QQ`` otherwise
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -159,6 +158,7 @@ class Context:
             for deg in range(policy.gcap + 1)
             for vs in combinations_with_replacement(range(len(self.gvars)), deg)
         )
+        self.g_degree = _Degrees((g, g_deg(g)) for g in self.g_monomials)
 
         self.losses: Counter = Counter()
         self._prod: dict[tuple[int, int], int | None] = {}
@@ -260,6 +260,13 @@ def g_deg(g: tuple) -> int:
     return sum(e for _, e in g)
 
 
+class _Degrees(dict):
+    """Variable degree by monomial; a key past the table is summed, not stored."""
+
+    def __missing__(self, g):
+        return g_deg(g)
+
+
 def _add_to(bucket: dict, key, val):
     """bucket[key] += val, dropping a zero and storing an integral QQ as int."""
     nv = bucket.get(key, 0) + val
@@ -273,8 +280,9 @@ def _add_to(bucket: dict, key, val):
 
 def _by_degree(s: "HSeries") -> list:
     """(variable degree, class, monomial, inner) per key, lowest degree first."""
+    deg = s.ctx.g_degree
     return sorted(
-        ((g_deg(g), e, g, inner) for (e, g), inner in s.terms.items()),
+        ((deg[g], e, g, inner) for (e, g), inner in s.terms.items()),
         key=lambda t: t[0],
     )
 
@@ -284,9 +292,10 @@ def _mul_into(out: dict, left: HSeries, right: list) -> dict:
     ctx = left.ctx
     gcap = ctx.policy.gcap
     zlo, zhi = -ctx.zneg, ctx.zpos
+    deg = ctx.g_degree
     # a left key of degree d1 meets only right keys of degree <= gcap - d1
     for (e1, g1), c1 in left.terms.items():
-        room = gcap - g_deg(g1)
+        room = gcap - deg[g1]
         row = ctx.eadd[e1]
         for d2, e2, g2, c2 in right:
             if d2 > room:
@@ -319,8 +328,9 @@ def _apply_into(out: dict, op: "OperatorSeries", s: HSeries, sign: int, by_deg: 
     gcap = ctx.policy.gcap
     zlo, zhi = -ctx.zneg, ctx.zpos
     eadd = ctx.eadd
+    deg = ctx.g_degree
     for (eidx, g), inner in s.terms.items():
-        room = gcap - g_deg(g)
+        room = gcap - deg[g]
         for (p, z), c in inner.items():
             keys = by_deg.get(p)
             if keys is None:
@@ -462,9 +472,6 @@ class HSeries:
     def z_negative(self) -> "HSeries":
         return self._filter_inner(lambda p, z: z < 0)
 
-    def z_polynomial(self) -> "HSeries":
-        return self._filter_inner(lambda p, z: z >= 0)
-
     def z_coefficient(self, zexp: int) -> "HSeries":
         """The coefficient of z^zexp, returned with z-exponent zero."""
         out = {}
@@ -595,30 +602,6 @@ class HSeries:
                 )
         recs.sort(key=lambda r: (r["d"], r["gexp"], r["k"], r["zexp"]))
         return recs
-
-    def to_json(self) -> str:
-        return json.dumps(self.records(), sort_keys=True)
-
-    @classmethod
-    def from_records(cls, ctx: Context, records) -> "HSeries":
-        out = cls(ctx)
-        terms: dict = {}
-        for r in records:
-            eidx = ctx.eindex.get(tuple(r["d"]))
-            if eidx is None:
-                raise PolicyMismatch(f"curve class {r['d']} outside the policy window")
-            g = tuple(
-                sorted(
-                    (ctx.var(tuple(pt), order), e) for pt, order, e in r["gexp"]
-                )
-            )
-            pidx = ctx.pindex.get(tuple(r["k"]))
-            if pidx is None:
-                raise PolicyMismatch(f"point {r['k']} outside the policy window")
-            inner = terms.setdefault((eidx, g), {})
-            _add_to(inner, (pidx, r["zexp"]), QQ(r["num"], r["den"]))
-        out.terms = cls._cleanup(terms)
-        return out
 
     def __repr__(self):  # pragma: no cover
         n = sum(len(v) for v in self.terms.values())

@@ -19,16 +19,19 @@ Independent oracles used here:
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
 import conftest
-from conftest import C2, F1, P1, P2, make_ctx
+from conftest import C2, F1, F3, P1, P2, make_ctx
 from toricmirror import engine
+from toricmirror.cohomology import phi_product
 from toricmirror.errors import (
     FactorizationResidue,
+    IdentityViolation,
     PolicyMismatch,
     TruncationLoss,
 )
@@ -542,6 +545,70 @@ def test_quantum_commutative_and_associative(fan_dict):
     assert q(md, a, b) == q(md, b, a)
     c = rays[1] if len(rays) > 1 else a
     assert q(md, q(md, a, b), c) == q(md, a, q(md, b, c))
+
+
+def test_quantum_product_reads_the_frame_live():
+    """A Seidel class replaced after a product was taken changes the next one.
+
+    Each product must equal the one from mirror data whose class was replaced
+    before any product, in place or through ``replace``: a frame cached
+    anywhere would keep the old columns.
+    """
+
+    def spiked(md):
+        """The frame with the first ray's class moved by z phi_0."""
+        rp = md.ctx.ray_pidx[0]
+        return {**md.S, rp: md.S[rp] + HSeries.phi(md.ctx, md.ctx.unit_pidx, 1)}
+
+    def product(md):
+        try:
+            return engine.quantum_product(md, *md.ctx.ray_pidx).records()
+        except IdentityViolation:
+            return None
+
+    # own data, not the shared one: S is replaced in place below
+    fresh = engine.compute_mirror_data(make_ctx(P1))
+    fresh.S.update(spiked(fresh))
+    want = product(fresh)
+    md = engine.compute_mirror_data(make_ctx(P1))
+    before = product(md)
+    assert before is not None and want != before
+    assert product(replace(md, S=spiked(md))) == want
+    assert product(md) == before
+    md.S.update(spiked(md))
+    assert product(md) == want
+
+
+@pytest.mark.parametrize("fan_dict,caps", [
+    (P1, {}), (C2, {}), (P2, {}),
+    (F1, {"qcap": 1, "gcap": 1}), (F3, {"qcap": 1, "gcap": 1}),
+], ids=["p1", "c2", "p2", "f1", "f3"])
+def test_quantum_product_at_q0_y0_is_the_classical_product(fan_dict, caps):
+    """The Q^0 y^0 part of a * b, within |k| <= kcoh, is phi_a phi_b.
+
+    With |a| + |b| <= kcoh the classical product never leaves the window, so
+    phi_product counts no loss.  The frame solve does not imply this.
+    """
+    md = conftest.mirror(fan_dict, **caps)
+    ctx = md.ctx
+    kcoh = ctx.policy.kcoh
+    basis = [p for p in range(len(ctx.points)) if ctx.norms[p] <= kcoh]
+    pairs = 0
+    for a in basis:
+        for b in basis:
+            if ctx.norms[a] + ctx.norms[b] > kcoh:
+                continue
+            prod = engine.quantum_product(md, a, b)
+            got = {
+                (p, z): c
+                for (p, z), c in prod.terms.get((ctx.zero_eidx, ()), {}).items()
+                if ctx.norms[p] <= kcoh
+            }
+            pt = phi_product(ctx, ctx.points[a].point, ctx.points[b].point, strict=True)
+            assert got == ({} if pt is None else {(ctx.pindex[pt], 0): 1}), (
+                ctx.points[a].point, ctx.points[b].point)
+            pairs += 1
+    assert pairs > len(basis)
 
 
 def _coefficients(obj):

@@ -374,6 +374,19 @@ def test_effective_box_past_the_limit_refuses():
     assert time.perf_counter() - start < 1.0
 
 
+def test_positive_form_past_the_limit_refuses():
+    start = time.perf_counter()
+    with pytest.raises(PolicyMismatch, match="36 classes of rank 6 needs 376992 subsets"):
+        fans.load_fan(a_n(6))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_positive_form_below_the_limit_loads():
+    # 25 wall classes of rank 5: 12650 subsets
+    f = fans.load_fan(a_n(5))
+    assert all(f.degree(w) >= 1 for w in fans.wall_classes(f))
+
+
 def test_duplicate_rays_rejected():
     dup = {"name": "dup", "dim": 1, "rays": [[1], [1]], "max_cones": [[0], [1]]}
     with pytest.raises(FanError):
