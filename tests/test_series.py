@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -361,16 +362,31 @@ def test_policy_mismatch():
         _ = a + b
 
 
-def test_records_are_sorted_and_canonical():
+def test_serialization_roundtrip():
     ctx = make_ctx()
     s = series.HSeries.phi(ctx, ctx.ray_pidx[0], zexp=-1, coeff=Fraction(6, 14))
     s = series._key_shift(s, 1, ((0, 1),), 0) + series.HSeries.unit(ctx)
     y0 = list(ctx.points[ctx.gvars[0].pidx].point)
-    # sorted by (d, gexp, k, zexp); a variable's order slot is always 0
-    assert s.records() == [
+    # sorted by (d, gexp, k, zexp), coefficients in lowest terms
+    recs = s.records()
+    assert recs == [
         {"k": [0], "zexp": 0, "d": [0, 0], "gexp": [], "num": 1, "den": 1},
         {"k": [1], "zexp": -1, "d": [1, 1], "gexp": [[y0, 0, 1]], "num": 3, "den": 7},
     ]
+    # the records are plain JSON and survive a JSON round trip unchanged
+    assert json.loads(json.dumps(recs)) == recs
+    # canonical: an equal series built another way has the same records
+    t = series.HSeries.phi(ctx, ctx.ray_pidx[0], zexp=-1, coeff=Fraction(3, 7))
+    t = series.HSeries.unit(ctx) + series._key_shift(t, 1, ((0, 1),), 0)
+    assert t == s and t.records() == recs
+
+
+def test_from_records_rejects_nonzero_variable_order():
+    """Records are only written now; a nonzero variable order is refused
+    where a variable is made, so no record can carry one."""
+    ctx = make_ctx()
+    rec = series.HSeries.variable(ctx, ctx.var((0,))).records()[0]
+    assert rec["gexp"] == [[[0], 0, 1]]
     with pytest.raises(PolicyMismatch):
         ctx.var((0,), order=1)
 
