@@ -25,17 +25,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from .cohomology import NoneqBasis, lambda_class
 from .engine import (
     MirrorData,
     _add_into,
     quantum_product,
+    seidel_coordinates,
     w_multiply,
     w_shift,
     w_transport,
 )
 from .errors import (
+    IdentityViolation,
     PolicyMismatch,
     PropertyViolation,
     RankDeficientUnfolding,
@@ -207,6 +210,24 @@ def _witness(diff: HSeries) -> dict:
     return recs[0] if recs else {}
 
 
+def _frame_products(md: MirrorData):
+    """``product(ka, a, kb, b)`` for one call, solving each keyed class once;
+    a class the frame does not span gives the solve's message, a str."""
+    memo, by_deg = {}, {}
+
+    def product(ka, a, kb, b):
+        for key, target in ((ka, a), (kb, b)):
+            if key not in memo:
+                try:
+                    memo[key] = seidel_coordinates(md, target)
+                except IdentityViolation as exc:
+                    memo[key] = str(exc)
+            if isinstance(memo[key], str):
+                return memo[key]
+        return w_transport(md.ctx, w_multiply(md.ctx, memo[ka], memo[kb]), md.S, by_deg)
+    return product
+
+
 def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
     """Replay the structural identities of the transport; report per property.
 
@@ -215,7 +236,8 @@ def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
     additionally compared at variable degree at most Gcap-1, which is the
     order to which the derivative of a truncated series is complete.  Raises
     PropertyViolation on the first failure when strict, otherwise records
-    the failure in the returned report.
+    the failure in the returned report, a class the Seidel frame does not
+    span included.  Each class is solved in the frame once per call.
     """
     ctx = md.ctx
     pol = ctx.policy
@@ -224,6 +246,8 @@ def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
     actives = [(gv.pidx, vidx) for vidx, gv in enumerate(ctx.gvars)]
     rays = list(enumerate(ctx.ray_pidx))
     report: list[dict] = []
+    product = _frame_products(md)
+    theta = partial(w_transport, ctx, cols=md.P.cols, by_deg={})
 
     def emit(name: str, checked: int, skipped: int, failures: list[dict]):
         entry = {
@@ -243,7 +267,7 @@ def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
         report.append(entry)
 
     # (1) the unit generator maps to the normalized unit section
-    diff = theta_apply(md, gm_element(ctx, ctx.unit_pidx)) - md.upsilon
+    diff = theta(gm_element(ctx, ctx.unit_pidx)) - md.upsilon
     emit("theta-unit", 1, 0, [] if diff.is_zero() else [_witness(diff)])
 
     # (2) transport intertwines the shift action with the column cocycle
@@ -255,7 +279,7 @@ def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
                 skip += 1
                 continue
             tp, de = hit
-            lhs = theta_apply(md, gm_multiply(ctx, kp, gm_element(ctx, lp), strict=False))
+            lhs = theta(gm_multiply(ctx, kp, gm_element(ctx, lp), strict=False))
             rhs = _key_shift(md.P.col(tp), de, (), 0)
             done += 1
             if lhs != rhs:
@@ -272,10 +296,13 @@ def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
                     skip += 1
                     continue
                 col = md.P.col(lp)
-                lhs = derive(col).z_shift(1) + quantum_product(md, md.S[kp], col)
-                rhs = theta_apply(md, gm_connection(ctx, kp, gm_element(ctx, lp))).z_shift(1)
-                diff = _difference(lhs, rhs, ycap, kcoh)
+                prod = product(("S", kp), md.S[kp], ("P", lp), col)
                 done += 1
+                if isinstance(prod, str):
+                    fails.append({label: where, "l": ctx.points[lp].point, "error": prod})
+                    continue
+                rhs = theta(gm_connection(ctx, kp, gm_element(ctx, lp))).z_shift(1)
+                diff = _difference(derive(col).z_shift(1) + prod, rhs, ycap, kcoh)
                 if not diff.is_zero():
                     fails.append(
                         {label: where, "l": ctx.points[lp].point, "diff": _witness(diff)}
@@ -303,7 +330,7 @@ def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
             if ctx.norms[lp] > kcoh - 1:
                 skip += 1
                 continue
-            lhs = theta_apply(md, gm_lambda_action(ctx, i, gm_element(ctx, lp)))
+            lhs = theta(gm_lambda_action(ctx, i, gm_element(ctx, lp)))
             rhs = cls * md.P.col(lp)
             diff = _difference(lhs, rhs, None, kcoh)
             done += 1
@@ -337,7 +364,8 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
     when one of its three classes is not phi_k at order zero: the frame
     solve would absorb such a term instead of exposing it.  Returns the
     table of pairs together with a pass/fail status for each; failures
-    raise PropertyViolation when strict.
+    raise PropertyViolation when strict.  Each S_k is solved once per call;
+    one the frame does not span fails its pairs, the message as witness.
     """
     ctx = md.ctx
     kcoh = ctx.policy.kcoh
@@ -345,6 +373,7 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
     normal = {p: s.order_part(0) == HSeries.phi(ctx, p) for p, s in md.S.items()}
     rows = []
     bad = 0
+    product = _frame_products(md)
     for kp in pts:
         for lp in pts:
             if lp < kp or ctx.norms[kp] + ctx.norms[lp] > kcoh:
@@ -353,7 +382,7 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
             if hit is None:
                 continue
             tp, de = hit
-            prod = quantum_product(md, md.S[kp], md.S[lp])
+            prod = product(kp, md.S[kp], lp, md.S[lp])  # a str equals no series
             ok = normal[kp] and normal[lp] and normal[tp]
             ok = ok and prod == _key_shift(md.S[tp], de, (), 0)
             if not ok:
@@ -370,6 +399,7 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
                     "pairing": list(ctx.eff[de]),
                     "target": list(ctx.points[tp].point),
                     "status": "pass" if ok else "fail",
+                    **({"witness": prod} if isinstance(prod, str) else {}),
                 }
             )
     return {

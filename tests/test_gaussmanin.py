@@ -22,6 +22,8 @@ Independent oracles used here:
     z powers and variable content.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import conftest
@@ -323,6 +325,82 @@ def test_check_theta_flags_wrong_weight():
     report = check_theta(md, strict=False)
     graded = next(e for e in report if e["property"] == "theta-grading")
     assert graded["status"] == "fail"
+
+
+def _spiked_frame(md, pidx):
+    """md with the unit class added to its Seidel element at pidx."""
+    ctx = md.ctx
+    frame = dict(md.S)
+    frame[pidx] = frame[pidx] + HSeries.phi(ctx, ctx.unit_pidx, 1)
+    return replace(md, S=frame)
+
+
+@pytest.mark.parametrize("fan_dict", [P1, P2, C2], ids=["p1", "p2", "c2"])
+def test_check_theta_flags_corrupted_seidel_frame(fan_dict):
+    # a ray's S_k plus the unit class still solves (lower-degree terms at
+    # order zero are absorbed), so only the quantum side of the connection
+    # moves; the check must see the frame it is given, not a stored one
+    md = mirror(fan_dict)
+    report = check_theta(_spiked_frame(md, md.ctx.ray_pidx[0]), strict=False)
+    assert {e["property"] for e in report if e["status"] == "fail"} == {
+        "theta-connection-active",
+        "theta-connection-ray",
+    }
+
+
+@pytest.mark.parametrize("fan_dict", [P1, P2, C2], ids=["p1", "p2", "c2"])
+def test_frame_without_coordinates_is_reported(fan_dict):
+    # S at the unit point becomes twice the unit class at order zero, so the
+    # triangular solve leaves a residual for every class
+    md = mirror(fan_dict)
+    bad = _spiked_frame(md, md.ctx.unit_pidx)
+    report = check_theta(bad, strict=False)
+    failed = {e["property"]: e["witness"] for e in report if e["status"] == "fail"}
+    assert set(failed) == {"theta-connection-active", "theta-connection-ray"}
+    assert all("not in the span" in w["error"] for w in failed.values())
+    with pytest.raises(PropertyViolation):
+        check_theta(bad)
+
+    table = jacobi_structure_constants(bad, strict=False)
+    broken = [r for r in table["pairs"] if "witness" in r]
+    assert broken and table["failures"] >= len(broken)
+    assert all(r["status"] == "fail" and "not in the span" in r["witness"] for r in broken)
+    with pytest.raises(PropertyViolation):
+        jacobi_structure_constants(bad)
+
+
+def _count_frame_solves(monkeypatch):
+    """Record every Seidel-frame solve, whichever module calls it."""
+    real, calls = engine.seidel_coordinates, []
+
+    def counted(md, target):
+        calls.append(target)
+        return real(md, target)
+
+    monkeypatch.setattr(engine, "seidel_coordinates", counted)
+    monkeypatch.setattr(gaussmanin, "seidel_coordinates", counted)
+    return calls
+
+
+def test_check_theta_solves_each_frame_class_once(monkeypatch):
+    # one solve per direction S_k and per column P(phi_l); solving per
+    # (direction, column) pair took 120 here
+    md = conftest.mirror(C2)
+    ctx = md.ctx
+    calls = _count_frame_solves(monkeypatch)
+    report = check_theta(md, strict=False)
+    assert [e["status"] for e in report] == ["pass"] * len(report)
+    directions = len(ctx.gvars) + len(ctx.ray_pidx)
+    columns = sum(1 for n in ctx.norms if n <= ctx.policy.kcoh)
+    assert 0 < len(calls) <= directions + columns
+
+
+def test_jacobi_table_solves_each_class_once(monkeypatch):
+    md = conftest.mirror(C2)
+    calls = _count_frame_solves(monkeypatch)
+    table = jacobi_structure_constants(md)
+    classes = {tuple(r[side]) for r in table["pairs"] for side in ("k", "l")}
+    assert 0 < len(calls) <= len(classes)
 
 
 def test_jacobi_structure_constants_all_fans():

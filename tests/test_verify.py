@@ -14,12 +14,13 @@ Independent oracles used here:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import conftest
 from conftest import C2, F1, F3, FANS, P1, P2, make_ctx
-from toricmirror import fans
+from toricmirror import fans, verify
 from toricmirror.errors import (
     IdentityViolation,
     MismatchedInvariant,
@@ -27,7 +28,7 @@ from toricmirror.errors import (
     PolicyMismatch,
 )
 from toricmirror.gaussmanin import jacobi_structure_constants
-from toricmirror.series import QQ
+from toricmirror.series import HSeries, QQ
 from toricmirror.verify import (
     LinearFraction,
     LocalizedSeries,
@@ -209,6 +210,29 @@ def test_property_suite_on_the_affine_plane():
     entries = run_property_suite(fans.load_fan(dict(C2)))
     assert all(e["status"] == "pass" for e in entries)
     assert sum(e["property"] == "localization" for e in entries) == 6
+
+
+def test_property_suite_reports_a_frame_without_coordinates(monkeypatch):
+    # S at the unit point doubled at order zero: no class has coordinates
+    # in the frame, which the suite must report, not raise
+    real = verify.compute_mirror_data
+
+    def spiked(ctx, check=True):
+        md = real(ctx, check=check)
+        frame = dict(md.S)
+        frame[ctx.unit_pidx] = frame[ctx.unit_pidx] + HSeries.phi(ctx, ctx.unit_pidx, 1)
+        return replace(md, S=frame)
+
+    monkeypatch.setattr(verify, "compute_mirror_data", spiked)
+    entries = run_property_suite(fans.load_fan(dict(P1)))
+    failed = {e["property"]: e.get("witness") for e in entries if e["status"] == "fail"}
+    assert set(failed) == {
+        "mirror-flow",
+        "theta-connection-active",
+        "theta-connection-ray",
+        "jacobi-associativity",
+    }
+    assert "not in the span" in failed["theta-connection-active"]["error"]
 
 
 CONTROLS = [
