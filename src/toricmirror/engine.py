@@ -39,8 +39,9 @@ and the factorization residual are asserted when ``check=True``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
+from . import fans
 from .errors import (
     FactorizationResidue,
     IdentityViolation,
@@ -56,6 +57,7 @@ from .series import (
     Context,
     HSeries,
     OperatorSeries,
+    _apply_into,
     _by_degree,
     _key_shift,
     _mul_into,
@@ -85,82 +87,94 @@ def phi_component(s: HSeries, pidx: int) -> HSeries:
 # A finished term gets its z powers back from the grading in _series_sum.
 
 
-def _linear_inverse(ctx: Context, ray: int, c: int) -> HSeries:
-    """z times 1/(u_i + c z), i.e. 1/(x_i + c), for a positive integer c.
-
-    x_i is nilpotent here, so the geometric series in x_i/c terminates on
-    its own once the multiples of the ray leave the working window.
-    """
-    inner = {}
-    b = ctx.fan.rays[ray]
-    t = 0
-    while True:
-        pidx = ctx.pindex.get(tuple(t * x for x in b))
-        if pidx is None:
-            break
-        inner[(pidx, 0)] = canon(QQ((-1) ** t, c ** (t + 1)))
-        t += 1
-    return HSeries(ctx, {(ctx.zero_eidx, ()): inner})
-
-
-def _hyper_factor(ctx: Context, ray: int, ell: int, factors: dict) -> HSeries:
-    """The ray factor of one hypergeometric term, times z^ell.
+def _hyper_factor(ell: int, top: int, factors: dict) -> list:
+    """Coefficients of x_i^t, t <= top, of a ray factor times z^ell.
 
     For ell >= 0 this is the product over c = 1..ell of 1/(x_i + c); for
     ell < 0 it is the polynomial product over c = ell+1..0 of (x_i + c),
-    which includes the bare x_i at c = 0.
+    which includes the bare x_i at c = 0.  It does not depend on the ray.
     """
-    key = (ray, ell)
-    if key in factors:
-        return factors[key]
-    acc = HSeries.unit(ctx)
-    if ell >= 0:
-        for c in range(1, ell + 1):
-            acc = acc * _linear_inverse(ctx, ray, c)
-    else:
-        x = HSeries.phi(ctx, ctx.ray_pidx[ray])
-        for c in range(ell + 1, 1):
-            acc = acc * (x + HSeries.phi(ctx, ctx.unit_pidx, 0, c))
-    factors[key] = acc
+    if ell in factors:
+        return factors[ell]
+    acc = [1] + [0] * top
+    for c in range(1, ell + 1):  # divide by x + c
+        prev = 0
+        for t, a in enumerate(acc):
+            prev = acc[t] = canon((a - prev) / QQ(c))
+    for c in range(ell + 1, 1):  # multiply by x + c
+        acc = [c * acc[0]] + [c * a + b for a, b in zip(acc[1:], acc)]
+    factors[ell] = acc
     return acc
 
 
-def _term_factor(ctx: Context, ell: tuple, factors: dict, terms: dict) -> HSeries:
-    """Product of the ray factors for one exponent vector."""
+def _build_caches(ctx: Context) -> tuple:
+    """Ray factors, term factors and the points by psi-support, for one build.
+
+    Points past kwork (index None) are kept only where a product could drop
+    one within reach of the user window: an explicit kwork < kcoh + gcap (kvar - 1).
+    """
+    reach = ctx.policy.kcoh + ctx.policy.gcap * max(ctx.policy.kvar - 1, 0)
+    past = fans.enumerate_points(ctx.fan, reach)[len(ctx.points):] if reach > ctx.kwork else []
+    groups: dict = {}
+    for p, pd in [*enumerate(ctx.points), *((None, fans.point_data(ctx.fan, k)) for k in past)]:
+        groups.setdefault(frozenset(pd.psi_support), []).append((p, pd.psi, pd.norm))
+    return {}, {}, list(groups.items()), max(ctx.kwork, reach)
+
+
+def _term_factor(ctx: Context, ell: tuple, caches: tuple) -> list:
+    """(point, coefficient) pairs of the product of the ray factors F_i of ell.
+
+    As phi_k = prod_i x_i^{psi_i(k)}, the coefficient at k is prod_i
+    F_i[psi_i(k)]; it can be nonzero only if the psi-support of k holds every
+    ray with ell_i < 0 and no ray with ell_i = 0.  A nonzero point past kwork
+    is counted as a product counts it: ``note_degree_overflow(|k|, gcap)``.
+    """
+    factors, terms, groups, top = caches
     if ell in terms:
         return terms[ell]
-    acc = HSeries.unit(ctx)
-    for i, l in enumerate(ell):
-        if l:
-            acc = acc * _hyper_factor(ctx, i, l, factors)
-            if acc.is_zero():
-                break
-    terms[ell] = acc
-    return acc
+    rays = {i for i, l in enumerate(ell) if l}
+    neg = {i for i in rays if ell[i] < 0}
+    fs = [(i, _hyper_factor(ell[i], top, factors)) for i in sorted(rays)]
+    out = []
+    for support, pts in groups:
+        if neg <= support <= rays:
+            for p, psi, norm in pts:
+                c = 1
+                for i, f in fs:
+                    c *= f[psi[i]]
+                if c and p is None:
+                    ctx.note_degree_overflow(norm, ctx.policy.gcap)
+                elif c:
+                    out.append((p, canon(c)))
+    terms[ell] = out
+    return out
 
 
 def _series_sum(ctx: Context, offset_pidx=None, caches=None) -> HSeries:
     """The hypergeometric sum; offset None gives I, a point gives its column.
 
-    ``caches`` is a pair of dicts (ray factors, term factors) shared by the
-    sums of one build.  The term at (Q^d, y^g) places phi_k of its factor at
-    z^(base - |g| - sum(ell) - |k|), windowed and counted there.
+    ``caches`` (``_build_caches``) is shared by the sums of one build.  The
+    term at (Q^d, y^g) places phi_k of its factor at z^(base - |g| - sum(ell)
+    - |k|), windowed and counted there; it is the only term at that key.
     """
-    factors, terms = caches if caches is not None else ({}, {})
+    caches = caches or _build_caches(ctx)
     base_shift = 1 if offset_pidx is None else 0
     out: dict = {}
     for eidx in range(len(ctx.eff)):
         for g in ctx.g_monomials:
             ell = ctx.ray_exponents(ctx.eff[eidx], g, offset_pidx)
-            fac = _term_factor(ctx, ell, factors, terms)
-            den = 1
-            for _, e in g:
-                den *= factorial(e)
-            coeff = canon(QQ(1, den))
+            den = prod(factorial(e) for _, e in g)
             shift = base_shift - g_deg(g) - sum(ell)
-            for (p, _), c in fac.terms.get((ctx.zero_eidx, ()), {}).items():
-                fac._accumulate(out, eidx, g, p, shift - ctx.norms[p], c * coeff)
-    return HSeries(ctx, HSeries._cleanup(out))
+            inner = {}
+            for p, c in _term_factor(ctx, ell, caches):
+                z = shift - ctx.norms[p]
+                if -ctx.zneg <= z <= ctx.zpos:
+                    inner[(p, z)] = c if den == 1 else canon(c / QQ(den))
+                else:
+                    ctx.note_z_clip()
+            if inner:
+                out[(eidx, g)] = inner
+    return HSeries(ctx, out)
 
 
 # --------------------------------------------------------------- the series
@@ -182,7 +196,7 @@ def build_dI(ctx: Context, I: HSeries | None = None) -> OperatorSeries:
     if I is None:
         I = build_I(ctx)
     ray_pos = {rp: i for i, rp in enumerate(ctx.ray_pidx)}
-    caches = ({}, {})
+    caches = _build_caches(ctx)
     cols = {}
     for pidx in range(len(ctx.points)):
         if pidx == ctx.unit_pidx:
@@ -203,12 +217,18 @@ def build_dI(ctx: Context, I: HSeries | None = None) -> OperatorSeries:
 
 
 def _grading_inverse(ctx: Context, P0: OperatorSeries) -> OperatorSeries:
-    """Inverse of the unit-triangular order-zero block (finite Neumann sum)."""
-    N = P0 - OperatorSeries.identity(ctx)
-    X = OperatorSeries.identity(ctx)
-    for _ in range(ctx.kwork + 1):
-        X, prev = OperatorSeries.identity(ctx), X
-        X._add_composed(N, prev, -1)
+    """Inverse X of the unit-triangular order-zero block.
+
+    N = P0 - Id has z >= 1 at weight zero, so it strictly lowers the basis
+    degree: X = Id - X . N is solved one column at a time in increasing
+    degree, each from the columns below it.
+    """
+    X = OperatorSeries(ctx)
+    by_deg: dict = {}
+    for k in sorted(range(len(ctx.points)), key=ctx.norms.__getitem__):
+        out = {(ctx.zero_eidx, ()): {(k, 0): 1}}
+        _apply_into(out, X, P0.col(k) - HSeries.phi(ctx, k), -1, by_deg)
+        X.cols[k] = HSeries(ctx, HSeries._cleanup(out))
     return X
 
 
@@ -219,6 +239,10 @@ def _merge_slices(ctx: Context, parts: dict) -> OperatorSeries:
         for k, col in parts[n].cols.items():
             cols.setdefault(k, {}).update(col.terms)
     return OperatorSeries(ctx, {k: HSeries(ctx, t) for k, t in cols.items()})
+
+
+def _has_negative_z(op: OperatorSeries) -> bool:
+    return any(z < 0 for c in op.cols.values() for inner in c.terms.values() for _, z in inner)
 
 
 def _cross_residual(Mparts: dict, Pparts: dict) -> OperatorSeries:
@@ -247,23 +271,33 @@ def birkhoff_factorize(ctx: Context, dI: OperatorSeries, check: bool = True):
     each n <= nmax the residual is P_n + M_n . P_0 + sum_{a=1}^{n-1}
     M_a . P_{n-a} - dI_n, which the loop made zero; what is left is exactly
     the sum of M_a . P_b over a, b >= 1 with a + b > nmax (``_cross_residual``).
+    On a dI built by ``build_dI`` nmax is the largest order the caps allow,
+    so every cross term meets a cap and the check can fire only on a dI that
+    lacks its top orders; a term dropped at the z window shows in
+    ``ctx.losses`` instead.  dI is split into its order slices in one pass.
     """
-    P0 = dI.order_part(0)
-    if not P0.z_negative().is_zero():
+    slices: dict = {}
+    for k, col in dI.cols.items():
+        for key, inner in col.terms.items():
+            slices.setdefault(ctx.order(*key), {}).setdefault(k, {})[key] = dict(inner)
+    slices = {n: OperatorSeries(ctx, {k: HSeries(ctx, t) for k, t in cols.items()})
+              for n, cols in slices.items()}
+    P0 = slices.pop(0, OperatorSeries(ctx))
+    if _has_negative_z(P0):
         raise FactorizationResidue(
             "order-zero block of the column family has negative z powers"
         )
     P0inv = _grading_inverse(ctx, P0)
-    nmax = max((c.max_order() for c in dI.cols.values()), default=0)
+    nmax = max(slices, default=0)
     Mparts = {0: OperatorSeries.identity(ctx)}
     Pparts = {0: P0}
     for n in range(1, nmax + 1):
-        R = dI.order_part(n)
+        R = slices.get(n, OperatorSeries(ctx))
         for a in range(1, n):
             R._add_composed(Mparts[a], Pparts[n - a], -1)
-        Mn = R.compose(P0inv).z_negative()
+        Mn = R.compose(P0inv).map_cols(HSeries.z_negative)
         R._add_composed(Mn, P0, -1)
-        if not R.z_negative().is_zero():
+        if _has_negative_z(R):
             raise NegativePowerInP(
                 f"order-{n} slice of P acquired negative z powers"
             )
@@ -271,7 +305,7 @@ def birkhoff_factorize(ctx: Context, dI: OperatorSeries, check: bool = True):
         Pparts[n] = R
     if check and not _cross_residual(Mparts, Pparts).is_zero():
         raise FactorizationResidue(
-            "factorization residual is nonzero; the z window is too small"
+            "factorization residual is nonzero; the columns lack their top orders"
         )
     return _merge_slices(ctx, Mparts), _merge_slices(ctx, Pparts)
 

@@ -162,6 +162,7 @@ class Context:
 
         self.losses: Counter = Counter()
         self._prod: dict[tuple[int, int], int | None] = {}
+        self._shift: dict[tuple[int, int], tuple[int, int] | None] = {}
 
     # ------------------------------------------------------------- tables
 
@@ -189,14 +190,16 @@ class Context:
 
         d(k1, k2) = psi(k1) + psi(k2) - psi(k1 + k2), read off the stored
         points.  None when k1 + k2 lies past kwork or d(k1, k2) past Qcap.
+        Memoized per context like ``phi_mul``; both are symmetric.
         """
-        a, b = self.points[p1], self.points[p2]
-        tp = self.pindex.get(tuple(x + y for x, y in zip(a.point, b.point)))
-        if tp is None:
-            return None
-        d = (x + y - z for x, y, z in zip(a.psi, b.psi, self.points[tp].psi))
-        de = self.eindex.get(tuple(d))
-        return None if de is None else (tp, de)
+        key = (p1, p2) if p1 <= p2 else (p2, p1)
+        if key not in self._shift:
+            a, b = self.points[p1], self.points[p2]
+            tp = self.pindex.get(tuple(x + y for x, y in zip(a.point, b.point)))
+            de = None if tp is None else self.eindex.get(
+                tuple(x + y - z for x, y, z in zip(a.psi, b.psi, self.points[tp].psi)))
+            self._shift[key] = None if de is None else (tp, de)
+        return self._shift[key]
 
     def ray_exponents(self, d, g: tuple, offset_pidx=None) -> tuple:
         """Per-ray exponents of the term at (Q^d, y^g), shifted once by a point.
@@ -506,19 +509,9 @@ class HSeries:
         }
         return HSeries(self.ctx, out)
 
-    def max_order(self) -> int:
-        return max((self.ctx.order(*key) for key in self.terms), default=0)
-
     def degree_cap(self, cap: int) -> "HSeries":
         """Drop components on basis points with |k| > cap (user-window view)."""
-        out = {}
-        for key, inner in self.terms.items():
-            kept = {
-                (p, z): c for (p, z), c in inner.items() if self.ctx.norms[p] <= cap
-            }
-            if kept:
-                out[key] = kept
-        return HSeries(self.ctx, out)
+        return self._filter_inner(lambda p, z: self.ctx.norms[p] <= cap)
 
     def _filter_inner(self, pred) -> "HSeries":
         out = {}
@@ -660,9 +653,6 @@ class OperatorSeries:
 
     def order_part(self, n: int) -> "OperatorSeries":
         return self.map_cols(lambda s: s.order_part(n))
-
-    def z_negative(self) -> "OperatorSeries":
-        return self.map_cols(lambda s: s.z_negative())
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.cols.values())

@@ -199,7 +199,7 @@ def test_columns_without_their_top_order_leave_a_residue(fan_dict):
     order the caps allow but the loop never solves: the check must see them."""
     ctx = make_ctx(fan_dict)
     dI = engine.build_dI(ctx)
-    nmax = max(c.max_order() for c in dI.cols.values())
+    nmax = max(ctx.order(*key) for c in dI.cols.values() for key in c.terms)
     cut = dI.map_cols(lambda s: HSeries(ctx, {
         key: dict(inner) for key, inner in s.terms.items() if ctx.order(*key) < nmax
     }))
@@ -266,7 +266,7 @@ def test_residual_is_the_cross_term_sum(fan_dict, caps):
     ctx = make_ctx(fan_dict, **caps)
     dI = engine.build_dI(ctx)
     M, P = engine.birkhoff_factorize(ctx, dI, check=False)
-    nmax = max(c.max_order() for c in dI.cols.values())
+    nmax = max(ctx.order(*key) for c in dI.cols.values() for key in c.terms)
     Mparts = {n: M.order_part(n) for n in range(nmax + 1)}
     Pparts = {n: P.order_part(n) for n in range(nmax + 1)}
     full = M.compose(P) - dI
@@ -284,6 +284,100 @@ def test_residual_is_the_cross_term_sum(fan_dict, caps):
     spiked = OperatorSeries(ctx, {**P.cols, u: P.col(u) + spike})
     assert not (M.compose(spiked) - dI).is_zero()
     assert not engine._cross_residual(Mparts, Pparts).is_zero()
+
+
+def chain_term_factor(ctx, ell):
+    """{point: coefficient} of a term factor as a chain of HSeries products.
+
+    The reference for the closed form: for ell_i >= 0 the factor of ray i
+    multiplies 1/(x_i + c) = sum_t (-1)^t x_i^t / c^(t+1), t <= kwork, over
+    c = 1..ell_i; for ell_i < 0 it multiplies x_i + c over c = ell_i+1..0.
+    """
+    acc = HSeries.unit(ctx)
+    for i, l in enumerate(ell):
+        ray = ctx.fan.rays[i]
+        for c in range(1, l + 1):
+            acc = acc * HSeries(ctx, {(ctx.zero_eidx, ()): {
+                (ctx.pindex[tuple(t * x for x in ray)], 0): QQ((-1) ** t, c ** (t + 1))
+                for t in range(ctx.kwork + 1)
+            }})
+        for c in range(l + 1, 1):
+            acc = acc * (HSeries.phi(ctx, ctx.ray_pidx[i]) + HSeries.phi(ctx, ctx.unit_pidx, 0, c))
+    return {p: c for (p, _), c in acc.terms.get((ctx.zero_eidx, ()), {}).items()}
+
+
+SOLVE_WINDOWS = [
+    (P1, dict(qcap=5, gcap=3, zneg=14)), (P2, dict(gcap=1)), (C2, {}),
+    (F1, dict(qcap=1, gcap=1)), (KP1, dict(qcap=1, gcap=1)), (F3, dict(qcap=1, gcap=1)),
+]
+
+
+@pytest.mark.parametrize("fan_dict,caps", SOLVE_WINDOWS,
+                         ids=["p1", "p2", "c2", "f1", "kp1", "f3"])
+def test_term_factors_match_the_product_chain(fan_dict, caps):
+    """Every term factor of I and dI equals the product of its ray factors."""
+    ctx = make_ctx(fan_dict, **caps)
+    caches = engine._build_caches(ctx)
+    offsets = [None] + [p for p in range(len(ctx.points))
+                        if p != ctx.unit_pidx and p not in ctx.ray_pidx]
+    want: dict = {}
+    for offset in offsets:
+        for d in ctx.eff:
+            for g in ctx.g_monomials:
+                ell = ctx.ray_exponents(d, g, offset)
+                if ell not in want:
+                    want[ell] = chain_term_factor(ctx, ell)
+                assert dict(engine._term_factor(ctx, ell, caches)) == want[ell], ell
+    assert any(len(w) > 1 for w in want.values())
+
+
+@pytest.mark.parametrize("fan_dict,caps", [
+    (P1, dict(qcap=5, gcap=3, kwork=4)), (P2, dict(kwork=3)),
+], ids=["p1-kwork4", "p2-kwork3"])
+def test_narrow_kwork_stays_loud(fan_dict, caps):
+    """Below kcoh + gcap (kvar - 1) a term factor reaches past kwork within
+    reach of the user window: I alone must count it, and the run must fail."""
+    ctx = make_ctx(fan_dict, **caps)
+    engine.build_I(ctx)
+    assert ctx.losses["degree"] > 0
+    with pytest.raises(TruncationLoss):
+        engine.compute_mirror_data(make_ctx(fan_dict, **caps))
+
+
+def neumann_inverse(ctx, P0):
+    """The finite Neumann sum X = Id - N . X, iterated kwork + 1 times."""
+    N = P0 - OperatorSeries.identity(ctx)
+    X = OperatorSeries.identity(ctx)
+    for _ in range(ctx.kwork + 1):
+        X = OperatorSeries.identity(ctx) - N.compose(X)
+    return X
+
+
+@pytest.mark.parametrize("fan_dict,caps", [
+    (P1, {}), (P2, {}), (F1, dict(qcap=1, gcap=1)), (F3, dict(qcap=1, gcap=1)),
+], ids=["p1", "p2", "f1", "f3"])
+def test_grading_inverse_is_two_sided(fan_dict, caps):
+    ctx = make_ctx(fan_dict, **caps)
+    P0 = engine.build_dI(ctx).order_part(0)
+    X = engine._grading_inverse(ctx, P0)
+    ident = OperatorSeries.identity(ctx)
+    assert (X.compose(P0) - ident).is_zero()
+    assert (P0.compose(X) - ident).is_zero()
+    assert any(len(c.terms[(ctx.zero_eidx, ())]) > 1 for c in X.cols.values())
+
+
+def test_grading_inverse_is_the_neumann_sum_where_clipped():
+    """p2 with zpos 3, below kwork 5: the inverse is clipped at z^3 where
+    the Neumann sum clipped it."""
+    ctx = make_ctx(P2, zpos=3)
+    P0 = engine.build_dI(ctx).order_part(0)
+    clips = ctx.losses["z"]
+    X = engine._grading_inverse(ctx, P0)
+    assert ctx.losses["z"] > clips
+    ref = neumann_inverse(ctx, P0)
+    assert set(X.cols) == set(ref.cols)
+    for k in X.cols:
+        assert X.col(k) == ref.col(k), ctx.points[k].point
 
 
 # --------------------------------------------------------------- mirror map
