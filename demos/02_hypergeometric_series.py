@@ -38,6 +38,6 @@ for cone in ctx.fan.max_cones:
 # Ineffective classes and off-cone negative exponents vanish identically.
 loc = LocalizedSeries(ctx, ctx.fan.max_cones[0])
 print(f"\nQ^(2,1) (not a curve class): {loc.coefficient((2, 1), ())}")
-vm = ctx.var_index[("y", ctx.pindex[(-2,)], 0)]
+vm = ctx.var((-2,))
 print(f"Q^(1,1) y_(-2) (negative exponent off the cone): "
       f"{loc.coefficient((1, 1), ((vm, 1),))}")

@@ -19,9 +19,10 @@ truncated ring of a :class:`~toricmirror.series.Context`:
 4. ``compute_mirror_data``-- the mirror map tau (the z^{-1} coefficient of
    M(phi_0)), Upsilon = P(phi_0), the Seidel classes S_k obtained from the
    z-free parts of the P columns and the pairing cocycle.
-5. ``quantum_product``    -- the big quantum product, transported through the
+5. ``frame_products``     -- the big quantum product, transported through the
    Seidel-class frame: expand both factors in the S_k, multiply the frame
-   labels with the cocycle Q^{d(k,l)}, and map back.  The labels form the
+   labels with the cocycle Q^{d(k,l)}, and map back, solving each class once
+   per call; ``quantum_product`` is its one-shot use.  The labels form the
    shift module of ``gaussmanin``, whose operations live here once.
 6. ``primitive_form``     -- the volume-form normalization, solved either as
    a z-polynomial coefficient vector against the P columns (route "a") or as
@@ -313,7 +314,7 @@ def birkhoff_factorize(ctx: Context, dI: OperatorSeries, check: bool = True):
 # ------------------------------------------------- Seidel classes and frames
 
 
-def _frame_coordinates(frame: dict, target: HSeries) -> tuple[dict, HSeries]:
+def _frame_coordinates(frame: dict, target: HSeries, by_deg: dict | None = None):
     """Coordinates x with sum_p x_p frame[p] = target, and the residual left.
 
     Each frame[p] is phi_p plus terms of lower basis degree or higher combined
@@ -324,12 +325,13 @@ def _frame_coordinates(frame: dict, target: HSeries) -> tuple[dict, HSeries]:
     frame that must be exactly phi_p there is checked by its caller.
 
     The residual is one terms dict that each -x_p frame[p] is multiplied into
-    in place; each column is sorted by variable degree once per call.
+    in place; each column is sorted by variable degree once, into ``by_deg``
+    (as in ``w_transport``; share one dict over solves in the same frame).
     """
     ctx = target.ctx
     coords: dict = {}
     resid = HSeries(ctx, {k: dict(v) for k, v in target.terms.items()})
-    by_deg: dict = {}
+    by_deg = {} if by_deg is None else by_deg
     for r in range(ctx.policy.qcap + ctx.policy.gcap + 1):
         rem = resid.order_part(r)
         top = None
@@ -365,11 +367,12 @@ def _check_flow_identities(ctx: Context, tau: HSeries, S: dict):
     """The Seidel classes are the flows of the mirror map.
 
     Differentiating the truncated mirror map by an active variable loses the
-    top y-order, so active directions are compared one order short; ray
-    directions (a gauge flow, no derivative) are compared in full.
+    top y-order, so active directions are compared one order short, which at
+    gcap 0 is none; ray directions (a gauge flow, no derivative) are
+    compared in full.
     """
-    short = max(ctx.policy.gcap - 1, 0)
-    for vi, gv in enumerate(ctx.gvars):
+    short = ctx.policy.gcap - 1
+    for vi, gv in enumerate(ctx.gvars if short >= 0 else ()):
         want = tau.derive_var(vi)
         if S[gv.pidx].y_degree_part(short) != want.y_degree_part(short):
             pt = ctx.points[gv.pidx].point
@@ -522,9 +525,10 @@ def w_transport(ctx: Context, v: dict, cols: dict, by_deg: dict | None = None) -
 # --------------------------------------------------------- quantum products
 
 
-def seidel_coordinates(md: MirrorData, target: HSeries) -> dict:
-    """Coordinates x with sum_k x_k S_k = target (triangular in the order)."""
-    coords, resid = _frame_coordinates(md.S, target)
+def seidel_coordinates(md: MirrorData, target: HSeries, by_deg: dict | None = None) -> dict:
+    """Coordinates x with sum_k x_k S_k = target (triangular in the order);
+    ``by_deg`` caches sorted columns of md.S, as in ``_frame_coordinates``."""
+    coords, resid = _frame_coordinates(md.S, target, by_deg)
     if not resid.is_zero():
         raise IdentityViolation(
             "class is not in the span of the Seidel frame at these caps"
@@ -532,21 +536,39 @@ def seidel_coordinates(md: MirrorData, target: HSeries) -> dict:
     return coords
 
 
-def quantum_product(md: MirrorData, a, b) -> HSeries:
-    """Big quantum product of two classes at the mirror-map point.
+def frame_products(md: MirrorData):
+    """``product(ka, a, kb, b)``: big quantum products, for use within one call.
 
     Both factors are expanded in the Seidel frame, the frame labels are
     multiplied with the pairing cocycle, and the result is mapped back.
-    Integer arguments are read as basis-point indices.
+    Each key is solved once, its failure included, and one sorted-column
+    dict serves the solves and the transport; as both are kept, take a new
+    one after md.S changes (nothing is stored on md, so it reads md.S anew).
     """
-    ctx = md.ctx
-    if isinstance(a, int):
-        a = HSeries.phi(ctx, a)
-    if isinstance(b, int):
-        b = HSeries.phi(ctx, b)
-    ca = seidel_coordinates(md, a)
-    cb = seidel_coordinates(md, b)
-    return w_transport(ctx, w_multiply(ctx, ca, cb), md.S)
+    memo, by_deg = {}, {}
+
+    def coordinates(key, target):
+        if key not in memo:
+            try:
+                memo[key] = seidel_coordinates(md, target, by_deg)
+            except IdentityViolation as exc:
+                memo[key] = exc
+        if isinstance(memo[key], IdentityViolation):
+            raise memo[key].with_traceback(None)
+        return memo[key]
+
+    def product(ka, a, kb, b):
+        ca, cb = coordinates(ka, a), coordinates(kb, b)
+        return w_transport(md.ctx, w_multiply(md.ctx, ca, cb), md.S, by_deg)
+    return product
+
+
+def quantum_product(md: MirrorData, a, b) -> HSeries:
+    """Big quantum product of two classes at the mirror-map point, the
+    one-shot use of ``frame_products``; an integer is a basis-point index."""
+    a = HSeries.phi(md.ctx, a) if isinstance(a, int) else a
+    b = HSeries.phi(md.ctx, b) if isinstance(b, int) else b
+    return frame_products(md)("a", a, "b", b)
 
 
 # ------------------------------------------------------------ primitive form
@@ -714,6 +736,7 @@ __all__ = [
     "birkhoff_factorize",
     "compute_mirror_data",
     "seidel_coordinates",
+    "frame_products",
     "quantum_product",
     "primitive_form",
     "phi_component",

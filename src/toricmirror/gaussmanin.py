@@ -9,7 +9,8 @@ deformation directions.
 
 The module is the w-algebra of `engine`: its shift, product and transport
 are `engine.w_shift`, `engine.w_multiply` and `engine.w_transport`, which
-`gm_multiply`, `gm_lambda_action` and `theta_apply` call.
+`gm_multiply`, `gm_lambda_action` and `theta_apply` call.  Every quantum
+product here is one of `engine.frame_products`, the one Seidel-frame product.
 
 `theta_apply` transports module elements to cohomology-valued series through
 the columns of the positive Birkhoff factor, and `check_theta` replays the
@@ -23,7 +24,6 @@ universal unfolding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -31,8 +31,7 @@ from .cohomology import NoneqBasis, lambda_class
 from .engine import (
     MirrorData,
     _add_into,
-    quantum_product,
-    seidel_coordinates,
+    frame_products,
     w_multiply,
     w_shift,
     w_transport,
@@ -88,29 +87,6 @@ def gm_add(a: GMElement, b: GMElement) -> GMElement:
     for p, s in b.items():
         _add_into(out, p, s)
     return {p: s for p, s in out.items() if not s.is_zero()}
-
-
-def gm_scale(v: GMElement, c) -> GMElement:
-    """Scale by a rational number or multiply by a scalar series."""
-    if isinstance(c, HSeries):
-        prods = {p: s * c for p, s in v.items()}
-        return {p: s for p, s in prods.items() if not s.is_zero()}
-    return {p: s.scale(c) for p, s in v.items()}
-
-
-def gm_equal(a: GMElement, b: GMElement) -> bool:
-    keys = set(a) | set(b)
-    for p in keys:
-        sa, sb = a.get(p), b.get(p)
-        if sa is None:
-            if not sb.is_zero():
-                return False
-        elif sb is None:
-            if not sa.is_zero():
-                return False
-        elif sa != sb:
-            return False
-    return True
 
 
 # ------------------------------------------------------- module operations
@@ -178,12 +154,11 @@ def gm_connection(ctx: Context, k, v: GMElement) -> GMElement:
                 base = base + f.scale(psi)
             _add_into(out, lp, base)
     else:
-        key = ("y", kp, 0)
-        if key not in ctx.var_index:
+        if kp not in ctx.var_index:
             raise PolicyMismatch(
                 f"point {ctx.points[kp].point} has no deformation variable"
             )
-        vidx = ctx.var_index[key]
+        vidx = ctx.var_index[kp]
         for lp, f in v.items():
             _add_into(out, lp, f.derive_var(vidx))
     for tp, s in gm_multiply(ctx, kp, v, strict=False).items():
@@ -210,24 +185,6 @@ def _witness(diff: HSeries) -> dict:
     return recs[0] if recs else {}
 
 
-def _frame_products(md: MirrorData):
-    """``product(ka, a, kb, b)`` for one call, solving each keyed class once;
-    a class the frame does not span gives the solve's message, a str."""
-    memo, by_deg = {}, {}
-
-    def product(ka, a, kb, b):
-        for key, target in ((ka, a), (kb, b)):
-            if key not in memo:
-                try:
-                    memo[key] = seidel_coordinates(md, target)
-                except IdentityViolation as exc:
-                    memo[key] = str(exc)
-            if isinstance(memo[key], str):
-                return memo[key]
-        return w_transport(md.ctx, w_multiply(md.ctx, memo[ka], memo[kb]), md.S, by_deg)
-    return product
-
-
 def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
     """Replay the structural identities of the transport; report per property.
 
@@ -246,7 +203,7 @@ def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
     actives = [(gv.pidx, vidx) for vidx, gv in enumerate(ctx.gvars)]
     rays = list(enumerate(ctx.ray_pidx))
     report: list[dict] = []
-    product = _frame_products(md)
+    product = frame_products(md)
     theta = partial(w_transport, ctx, cols=md.P.cols, by_deg={})
 
     def emit(name: str, checked: int, skipped: int, failures: list[dict]):
@@ -296,10 +253,11 @@ def check_theta(md: MirrorData, strict: bool = True) -> list[dict]:
                     skip += 1
                     continue
                 col = md.P.col(lp)
-                prod = product(("S", kp), md.S[kp], ("P", lp), col)
                 done += 1
-                if isinstance(prod, str):
-                    fails.append({label: where, "l": ctx.points[lp].point, "error": prod})
+                try:
+                    prod = product(("S", kp), md.S[kp], ("P", lp), col)
+                except IdentityViolation as exc:
+                    fails.append({label: where, "l": ctx.points[lp].point, "error": str(exc)})
                     continue
                 rhs = theta(gm_connection(ctx, kp, gm_element(ctx, lp))).z_shift(1)
                 diff = _difference(derive(col).z_shift(1) + prod, rhs, ycap, kcoh)
@@ -373,7 +331,7 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
     normal = {p: s.order_part(0) == HSeries.phi(ctx, p) for p, s in md.S.items()}
     rows = []
     bad = 0
-    product = _frame_products(md)
+    product = frame_products(md)
     for kp in pts:
         for lp in pts:
             if lp < kp or ctx.norms[kp] + ctx.norms[lp] > kcoh:
@@ -382,7 +340,10 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
             if hit is None:
                 continue
             tp, de = hit
-            prod = product(kp, md.S[kp], lp, md.S[lp])  # a str equals no series
+            try:
+                prod, error = product(kp, md.S[kp], lp, md.S[lp]), {}
+            except IdentityViolation as exc:
+                prod, error = None, {"witness": str(exc)}
             ok = normal[kp] and normal[lp] and normal[tp]
             ok = ok and prod == _key_shift(md.S[tp], de, (), 0)
             if not ok:
@@ -399,7 +360,7 @@ def jacobi_structure_constants(md: MirrorData, strict: bool = True) -> dict:
                     "pairing": list(ctx.eff[de]),
                     "target": list(ctx.points[tp].point),
                     "status": "pass" if ok else "fail",
-                    **({"witness": prod} if isinstance(prod, str) else {}),
+                    **error,
                 }
             )
     return {
@@ -552,9 +513,6 @@ class NoneqRestriction:
             "products": self.products,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
 
 def noneq_restrict(md: MirrorData, section=None, products: bool = True) -> NoneqRestriction:
     """Restrict the mirror family along a section of non-equivariant classes.
@@ -614,13 +572,12 @@ def noneq_restrict(md: MirrorData, section=None, products: bool = True) -> Noneq
             info["kind"] = "divisor"
             info["ray"] = i
         else:
-            key = ("y", pidx, 0)
-            if key not in ctx.var_index:
+            if pidx not in ctx.var_index:
                 raise SectionNotALift(
                     f"section point {ctx.points[pidx].point} has no "
                     "deformation variable at this policy"
                 )
-            vidx = ctx.var_index[key]
+            vidx = ctx.var_index[pidx]
             activated.append((a, vidx))
             info["kind"] = "active"
             info["variable"] = vidx
@@ -710,13 +667,11 @@ def noneq_restrict(md: MirrorData, section=None, products: bool = True) -> Noneq
 
     if products:
         table = []
+        product = frame_products(md)
+        phis = [HSeries.phi(ctx, p) for p in sec_pidx]
         for a in range(n):
             for b in range(a, n):
-                prod = quantum_product(
-                    md,
-                    HSeries.phi(ctx, sec_pidx[a]),
-                    HSeries.phi(ctx, sec_pidx[b]),
-                )
+                prod = product(a, phis[a], b, phis[b])
                 pc = restriction.coordinates_of(prod)
                 table.append(
                     {
@@ -742,10 +697,8 @@ __all__ = [
     "gm_add",
     "gm_connection",
     "gm_element",
-    "gm_equal",
     "gm_lambda_action",
     "gm_multiply",
-    "gm_scale",
     "jacobi_structure_constants",
     "lambda_element",
     "noneq_restrict",

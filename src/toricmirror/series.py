@@ -150,7 +150,7 @@ class Context:
             self.gvars.append(GVar("y", i, 0))
         if active is not None and len(self.gvars) != len(active):
             raise PolicyMismatch("active_points must be non-ray points with |k| <= kvar")
-        self.var_index = {(v.kind, v.pidx, v.order): vi for vi, v in enumerate(self.gvars)}
+        self.var_index = {v.pidx: vi for vi, v in enumerate(self.gvars)}
         self.var_ewt = [1 - self.norms[v.pidx] for v in self.gvars]
         # every variable monomial of degree <= gcap, as sorted (var, exp) pairs
         self.g_monomials = sorted(
@@ -237,12 +237,12 @@ class Context:
     def order(self, eidx: int, g: tuple) -> int:
         return self.eff_deg[eidx] + sum(e for _, e in g)
 
-    def var(self, point, order: int = 0) -> int:
-        """Variable index for the point; only order 0 is registered."""
-        key = ("y", self.pindex[tuple(point)], order)
-        if key not in self.var_index:
-            raise PolicyMismatch(f"no registered variable for point {point}, order {order}")
-        return self.var_index[key]
+    def var(self, point) -> int:
+        """Variable index for the point."""
+        vidx = self.var_index.get(self.pindex[tuple(point)])
+        if vidx is None:
+            raise PolicyMismatch(f"no registered variable for point {point}")
+        return vidx
 
 
 # ---------------------------------------------------------------- g-monomials

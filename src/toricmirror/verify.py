@@ -17,8 +17,8 @@ from .cohomology import lambda_class, poincare_integral
 from .engine import (
     _check_flow_identities,
     compute_mirror_data,
+    frame_products,
     primitive_form,
-    quantum_product,
     w_transport,
 )
 from .errors import (
@@ -248,7 +248,7 @@ def _direction_data(ctx: Context, k):
         raise PolicyMismatch(f"direction {k} is beyond the working window")
     if kp in ctx.ray_pidx:
         return k, pd, ctx.ray_pidx.index(kp), None
-    vidx = ctx.var_index.get(("y", kp, 0))
+    vidx = ctx.var_index.get(kp)
     if vidx is None:
         raise PolicyMismatch(f"direction {k} has no deformation variable")
     return k, pd, None, vidx
@@ -574,13 +574,12 @@ def wdvv_compare(dmax: int = 3, *, strict: bool = True, _oracle=None) -> dict:
 
     point = HSeries.phi(ctx, ctx.pindex[(1, 1)])
     line = HSeries.phi(ctx, ctx.pindex[(1, 0)])
+    product = frame_products(md)
     ppp = nr.restrict_scalar(
-        poincare_integral(ctx, quantum_product(md, point, point) * point,
-                          nr.basis)
+        poincare_integral(ctx, product("pt", point, "pt", point) * point, nr.basis)
     )
     hpp = nr.restrict_scalar(
-        poincare_integral(ctx, quantum_product(md, line, point) * point,
-                          nr.basis)
+        poincare_integral(ctx, product("line", line, "pt", point) * point, nr.basis)
     )
 
     s2 = None

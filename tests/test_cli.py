@@ -61,6 +61,12 @@ def test_validate_reports_fingerprint_and_completeness(capsys):
     assert payload["n_rays"] == 4
 
 
+def test_mirror_map_at_gcap_0(capsys):
+    code, out, err = run_cli(["mirror-map", "--fan", "p2", "--gcap", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order"]["gcap"] == 0
+
+
 def test_enumerate_lists_points_and_classes(capsys):
     code, out, _ = run_cli(
         ["enumerate", "--fan", "p1", "--qcap", "2"], capsys

@@ -578,6 +578,19 @@ def test_seidel_unit_is_one():
     assert md.S[ctx.unit_pidx] == HSeries.phi(ctx, ctx.unit_pidx)
 
 
+@pytest.mark.parametrize("fan_dict", [P1, C2, P2, F1], ids=["p1", "c2", "p2", "f1"])
+def test_checked_mirror_data_at_gcap_0(fan_dict):
+    """At gcap 0 the derivative of the truncated mirror map is complete to
+    no y-degree, so no active direction is compared; rays still are."""
+    md = engine.compute_mirror_data(make_ctx(fan_dict, gcap=0), check=True)
+    ctx = md.ctx
+    assert ctx.gvars and ctx.g_monomials == [()]
+    rp = ctx.ray_pidx[0]
+    spiked = {**md.S, rp: md.S[rp] + HSeries.phi(ctx, ctx.unit_pidx, 1)}
+    with pytest.raises(IdentityViolation, match="ray 0"):
+        engine._check_flow_identities(ctx, md.tau, spiked)
+
+
 def test_seidel_coordinates_recover_frame_labels():
     md = mirror(P1)
     ctx = md.ctx

@@ -22,6 +22,7 @@ Independent oracles used here:
     z powers and variable content.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,7 @@ import conftest
 from conftest import C2, F1, P1, P2, make_ctx
 from toricmirror import engine, gaussmanin
 from toricmirror.errors import (
+    IdentityViolation,
     PropertyViolation,
     SectionNotALift,
     TruncationLoss,
@@ -39,10 +41,8 @@ from toricmirror.gaussmanin import (
     gm_add,
     gm_connection,
     gm_element,
-    gm_equal,
     gm_lambda_action,
     gm_multiply,
-    gm_scale,
     jacobi_structure_constants,
     noneq_restrict,
     theta_apply,
@@ -60,6 +60,32 @@ def mirror(fan_dict, **kw):
 
 def novikov_unit(ctx, dvec):
     return HSeries.novikov(ctx, ctx.eindex[tuple(dvec)])
+
+
+# module arithmetic of the flatness tests; the package needs neither
+
+
+def gm_scale(v, c):
+    """Scale by a rational number or multiply by a scalar series."""
+    if isinstance(c, HSeries):
+        prods = {p: s * c for p, s in v.items()}
+        return {p: s for p, s in prods.items() if not s.is_zero()}
+    return {p: s.scale(c) for p, s in v.items()}
+
+
+def gm_equal(a, b) -> bool:
+    keys = set(a) | set(b)
+    for p in keys:
+        sa, sb = a.get(p), b.get(p)
+        if sa is None:
+            if not sb.is_zero():
+                return False
+        elif sb is None:
+            if not sa.is_zero():
+                return False
+        elif sa != sb:
+            return False
+    return True
 
 
 # ----------------------------------------------------------- module action
@@ -369,16 +395,24 @@ def test_frame_without_coordinates_is_reported(fan_dict):
         jacobi_structure_constants(bad)
 
 
+@pytest.mark.parametrize("fan_dict", [P1, P2], ids=["p1", "p2"])
+def test_restriction_refuses_a_frame_without_coordinates(fan_dict):
+    # the products table raises the solve's error, as quantum_product does
+    md = mirror(fan_dict)
+    with pytest.raises(IdentityViolation, match="not in the span"):
+        noneq_restrict(_spiked_frame(md, md.ctx.unit_pidx))
+
+
 def _count_frame_solves(monkeypatch):
-    """Record every Seidel-frame solve, whichever module calls it."""
+    """Record every Seidel-frame solve; every product goes through
+    engine.frame_products, which calls engine.seidel_coordinates."""
     real, calls = engine.seidel_coordinates, []
 
-    def counted(md, target):
+    def counted(md, target, by_deg=None):
         calls.append(target)
-        return real(md, target)
+        return real(md, target, by_deg)
 
     monkeypatch.setattr(engine, "seidel_coordinates", counted)
-    monkeypatch.setattr(gaussmanin, "seidel_coordinates", counted)
     return calls
 
 
@@ -401,6 +435,16 @@ def test_jacobi_table_solves_each_class_once(monkeypatch):
     table = jacobi_structure_constants(md)
     classes = {tuple(r[side]) for r in table["pairs"] for side in ("k", "l")}
     assert 0 < len(calls) <= len(classes)
+
+
+@pytest.mark.parametrize("fan_dict", [P2, F1], ids=["p2", "f1"])
+def test_restriction_solves_each_section_class_once(monkeypatch, fan_dict):
+    # pairing the classes through quantum_product solved each one n + 1
+    # times: 12 solves on p2, 20 on f1
+    md = mirror(fan_dict)
+    calls = _count_frame_solves(monkeypatch)
+    nr = noneq_restrict(md)
+    assert len(calls) == len(nr.section) == {"p2": 3, "f1": 4}[fan_dict["name"]]
 
 
 def test_jacobi_structure_constants_all_fans():
@@ -499,4 +543,5 @@ def test_section_validation():
 
 def test_restriction_serializes_deterministically():
     md = mirror(P1)
-    assert noneq_restrict(md).to_json() == noneq_restrict(md).to_json()
+    first, second = noneq_restrict(md).to_dict(), noneq_restrict(md).to_dict()
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)

@@ -383,13 +383,11 @@ def test_serialization_roundtrip():
 
 
 def test_from_records_rejects_nonzero_variable_order():
-    """Records are only written now; a nonzero variable order is refused
-    where a variable is made, so no record can carry one."""
+    """Records are only written now, and a variable is named by its point
+    alone, so every record carries the order slot 0."""
     ctx = make_ctx()
     rec = series.HSeries.variable(ctx, ctx.var((0,))).records()[0]
     assert rec["gexp"] == [[[0], 0, 1]]
-    with pytest.raises(PolicyMismatch):
-        ctx.var((0,), order=1)
 
 
 def test_compose_simple():

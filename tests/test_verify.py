@@ -20,7 +20,7 @@ import pytest
 
 import conftest
 from conftest import C2, F1, F3, FANS, P1, P2, make_ctx
-from toricmirror import fans, verify
+from toricmirror import engine, fans, verify
 from toricmirror.errors import (
     IdentityViolation,
     MismatchedInvariant,
@@ -104,12 +104,12 @@ def test_localized_coefficients_match_hand_values():
     assert neg.coefficient((1, 1), ()).scalar == -1
 
     # unit-variable square: (1/2!) z^{-1}, exponents untouched
-    v0 = ctx.var_index[("y", ctx.unit_pidx, 0)]
+    v0 = ctx.var_index[ctx.unit_pidx]
     half = ONE.times_form((0, 1), -1).scale(QQ(1, 2))
     assert pos.coefficient((0, 0), ((v0, 2),)) == half
 
     # a negative exponent on an off-cone ray kills the term
-    vm = ctx.var_index[("y", ctx.pindex[(-2,)], 0)]
+    vm = ctx.var((-2,))
     assert ctx.ray_exponents((1, 1), ((vm, 1),)) == (1, -1)
     assert pos.coefficient((1, 1), ((vm, 1),)).is_zero()
 
@@ -300,6 +300,20 @@ def test_curve_counts_extracted_from_the_quantum_product():
     caps = report["order"]
     assert (caps["qcap"], caps["gcap"], caps["zneg"]) == (6, 2, 14)
     assert json.loads(json.dumps(report)) == report
+
+
+def test_curve_counts_solve_each_class_once(monkeypatch):
+    # the point and the line classes are each solved in the Seidel frame
+    # once; two quantum_product calls solved four
+    real, calls = engine.seidel_coordinates, []
+
+    def counted(md, target, by_deg=None):
+        calls.append(target)
+        return real(md, target, by_deg)
+
+    monkeypatch.setattr(engine, "seidel_coordinates", counted)
+    assert wdvv_compare(dmax=2)["status"] == "pass"
+    assert len(calls) == 2
 
 
 def test_curve_count_comparison_detects_a_wrong_count():
